@@ -4,9 +4,11 @@ Compares the two RR backends on the phases this PR vectorized:
 
 * **kpt** — TIM's ``KptEstimation`` (width-based geometric rounds) on a
   near-critical fixed-probability graph, the regime where per-set Python
-  overhead dominates the sequential path.  The batched path generates each
-  round ``c_i`` as one ``batch_generate_rr_sets`` call and computes all
-  widths with one vectorized ``rr_set_widths`` pass.
+  overhead dominates the sequential path.  It runs the Com-IC baselines'
+  ``_estimate_kpt`` over a GAP sampler whose adoption coins are both 1, so
+  every set is a plain IC RR set.  The batched path generates each round
+  ``c_i`` as one vectorized sampler call and computes all widths with one
+  ``rr_set_widths`` pass.
 * **comic** — RR-SIM+ end to end (IMM for the fixed item, GAP-aware KPT
   estimation, θ-phase GAP sampling, greedy max coverage), sequential vs
   batched, on a 1k-node WC graph.
@@ -28,12 +30,12 @@ from pathlib import Path
 import numpy as np
 
 from _bench_utils import min_speedup, record, run_once
+from repro.baselines._comic_common import _GapSampler, _estimate_kpt
 from repro.baselines.rr_sim import rr_sim_plus
 from repro.engine import EngineContext
 from repro.diffusion.comic import ComICModel
 from repro.graph.generators import erdos_renyi, random_wc_graph
 from repro.graph.weighting import fixed_probability
-from repro.rrset.tim import _kpt_estimation
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 JSON_PATH = REPO_ROOT / "BENCH_comic_kpt.json"
@@ -51,9 +53,14 @@ def _time_kpt(graph, k, backend):
     elapsed = 0.0
     used_total = 0
     for rep in range(KPT_REPS):
-        rng = np.random.default_rng(100 + rep)
+        sampler = _GapSampler(
+            graph, q_plain=1.0, q_boosted=1.0,
+            ctx=EngineContext.create(
+                backend=backend, rng=np.random.default_rng(100 + rep)
+            ),
+        )
         t0 = time.perf_counter()
-        _, used = _kpt_estimation(graph, k, 1.0, rng, backend=backend)
+        _, used = _estimate_kpt(graph, k, 1.0, sampler)
         elapsed += time.perf_counter() - t0
         used_total += used
     return elapsed, used_total

@@ -30,9 +30,10 @@ conventions; the backend is carried by the context (explicit argument >
 ``$REPRO_RR_BACKEND`` > batched).
 
 :func:`comic_rr_sketch` exposes the full sampling state
-(:class:`ComicSketchState`) so :mod:`repro.store` can persist GAP sketches
-and extend them transparently; :func:`comic_rr_selection` is the thin
-selection-only wrapper the baselines call.
+(:class:`ComicSketchState`, whose θ-phase sets are an
+:class:`~repro.rrset.rrgen.RRCollection`) so :mod:`repro.store` can persist
+GAP sketches and extend them transparently; :func:`comic_rr_selection` is
+the thin selection-only wrapper the baselines call.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from typing import List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
+from repro import obs
 from repro.diffusion.batch_forward import batch_simulate_comic
 from repro.diffusion.comic import ComICModel, simulate_comic
 from repro.engine import EngineContext, ensure_context, is_batched
@@ -52,7 +54,14 @@ from repro.rrset.batch import (
     rr_set_widths,
 )
 from repro.rrset.bounds import log_binomial
-from repro.rrset.node_selection import greedy_max_coverage
+from repro.rrset.node_selection import node_selection
+from repro.rrset.rrgen import RRCollection
+
+_KPT_SECONDS = obs.histogram(
+    "repro_engine_phase_seconds",
+    "Wall-clock of engine phases (sampling, selection, kpt, forward)",
+    labels=("phase",),
+)
 
 
 @dataclass(frozen=True)
@@ -75,16 +84,15 @@ class ComicSketchState:
     """Everything a Com-IC RIS run produced, in persistable form.
 
     This is the state :mod:`repro.store` snapshots into a format-v2 sketch
-    store: the θ-phase GAP RR collection as flat CSR arrays, the final
-    forward-world bitmap the walks were paired against, the post-θ world
-    cursor, and the GAP coin parameters — enough to both *serve* the
-    selection warm and *extend* the θ phase as if the run had never been
-    interrupted.
+    store: the θ-phase GAP RR collection (with the inverted index its
+    selection built), the final forward-world bitmap the walks were paired
+    against, the post-θ world cursor, and the GAP coin parameters — enough
+    to both *serve* the selection warm and *extend* the θ phase as if the
+    run had never been interrupted.
     """
 
     seeds: Tuple[int, ...]
-    members: np.ndarray
-    offsets: np.ndarray
+    collection: RRCollection
     worlds_bitmap: np.ndarray
     world_cursor: int
     q_plain: float
@@ -93,6 +101,16 @@ class ComicSketchState:
     kpt_sets: int
     theta: int
     covered: int
+
+    @property
+    def members(self) -> np.ndarray:
+        """The θ-phase sets' flat members (a live view; do not mutate)."""
+        return self.collection.flat_arrays()[0]
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """The θ-phase sets' CSR offsets (a live view; do not mutate)."""
+        return self.collection.flat_arrays()[1]
 
     @property
     def coverage_fraction(self) -> float:
@@ -440,7 +458,8 @@ def comic_rr_sketch(
         backend=ctx.backend,
     )
     sampler.set_worlds(worlds)
-    kpt, kpt_sets = _estimate_kpt(graph, budget, ell, sampler)
+    with obs.span("rrset.kpt"), _KPT_SECONDS.timer(phase="kpt"):
+        kpt, kpt_sets = _estimate_kpt(graph, budget, ell, sampler)
     theta = _tim_theta(n, budget, epsilon, ell, kpt)
 
     if extra_forward_pass:
@@ -459,20 +478,14 @@ def comic_rr_sketch(
             worlds = worlds + refreshed
         sampler.set_worlds(worlds)
 
-    # Generate θ GAP-aware RR sets (world pairing continues from the KPT
-    # phase's cursor) directly in flat CSR form (members + offsets).
-    members, lengths = sampler.sample(theta)
-    offsets = np.zeros(theta + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-
-    # Vectorized greedy max coverage (shared NodeSelection machinery).
-    seeds, covered_total = greedy_max_coverage(
-        n, members, offsets, min(budget, n)
-    )
+    # θ GAP-aware RR sets (world pairing continues from the KPT phase's
+    # cursor) in the collection type PRIMA selects over.
+    collection = RRCollection(graph, ctx=ctx)
+    collection.append_flat(*sampler.sample(theta))
+    seeds, fraction = node_selection(collection, budget)
     return ComicSketchState(
         seeds=tuple(seeds),
-        members=members,
-        offsets=offsets,
+        collection=collection,
         worlds_bitmap=sampler.worlds_bitmap,
         world_cursor=sampler.used,
         q_plain=q_plain,
@@ -480,7 +493,7 @@ def comic_rr_sketch(
         kpt=kpt,
         kpt_sets=kpt_sets,
         theta=theta,
-        covered=int(covered_total),
+        covered=round(fraction * theta),
     )
 
 

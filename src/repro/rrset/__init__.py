@@ -5,12 +5,11 @@ batched sampler lives in :mod:`repro.rrset.batch`), the greedy
 max-coverage ``NodeSelection`` procedure (:mod:`repro.rrset.node_selection`),
 the IMM algorithm of Tang et al. with the Chen-2018 regeneration fix
 (:mod:`repro.rrset.imm`), its prefix-preserving multi-budget extension PRIMA —
-Algorithm 2 of the paper (:mod:`repro.rrset.prima`) — and the wider
-seed-selection landscape the paper discusses: TIM (used by the Com-IC
-baselines, :mod:`repro.rrset.tim`), SSA (:mod:`repro.rrset.ssa`), SKIM's
-bottom-k sketches (:mod:`repro.rrset.skim`), the classic CELF Monte-Carlo
-greedy (:mod:`repro.rrset.greedy_mc`) and the prefix-preserving influence
-oracle (:mod:`repro.rrset.oracle`).
+Algorithm 2 of the paper (:mod:`repro.rrset.prima`) — SKIM's bottom-k
+sketches (:mod:`repro.rrset.skim`), the classic CELF Monte-Carlo greedy
+(:mod:`repro.rrset.greedy_mc`) and the prefix-preserving influence oracle
+(:mod:`repro.rrset.oracle`).  TIM's KPT/θ phases live with the Com-IC
+baselines that use them (:mod:`repro.baselines._comic_common`).
 """
 
 from repro.rrset.batch import (
@@ -25,17 +24,11 @@ from repro.rrset.batch import (
 )
 from repro.rrset.greedy_mc import GreedyMCResult, greedy_mc
 from repro.rrset.imm import IMMResult, imm
-from repro.rrset.node_selection import (
-    greedy_max_coverage,
-    node_selection,
-    node_selection_reference,
-)
+from repro.rrset.node_selection import greedy_max_coverage, node_selection
 from repro.rrset.prima import PRIMAResult, prima
 from repro.rrset.oracle import InfluenceOracle
 from repro.rrset.rrgen import RRCollection, generate_rr_set
 from repro.rrset.skim import SKIMResult, skim
-from repro.rrset.ssa import SSAResult, ssa
-from repro.rrset.tim import TIMResult, tim
 
 __all__ = [
     "BACKEND_ENV",
@@ -46,8 +39,6 @@ __all__ = [
     "PRIMAResult",
     "RRCollection",
     "SKIMResult",
-    "SSAResult",
-    "TIMResult",
     "TriggerCSR",
     "batch_generate_rr_sets",
     "build_trigger_csr",
@@ -57,11 +48,8 @@ __all__ = [
     "greedy_mc",
     "imm",
     "node_selection",
-    "node_selection_reference",
     "prima",
     "resolve_backend",
     "skim",
-    "ssa",
     "supports_batched",
-    "tim",
 ]

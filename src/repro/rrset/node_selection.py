@@ -10,19 +10,16 @@ Tie-break contract
 The procedure is deterministic given the collection: at every round the
 winner is the node with the **largest residual gain**, ties broken by the
 **smallest node id** (``np.argmax`` returns the first maximum).  This exact
-contract is what lets PRIMA reuse seed prefixes across budgets, and both
-implementations below honour it:
+contract is what lets PRIMA reuse seed prefixes across budgets.  The
+per-round gain update gathers the member slices of all newly covered RR
+sets in one segmented ``np.repeat`` gather and applies them with a single
+``bincount`` subtraction; gain updates are exact integer arithmetic, so the
+result is bit-for-bit that of the per-element reference loop the tests pin
+against.
 
-* :func:`node_selection` — vectorized: the per-round gain update gathers the
-  member slices of all newly covered RR sets in one segmented ``np.repeat``
-  gather and applies them with a single ``bincount`` subtraction.  Because
-  gain updates are exact integer arithmetic, its output is bit-for-bit
-  identical to the reference loop on the same collection.
-* :func:`node_selection_reference` — the historical per-element Python loop,
-  kept as the equivalence oracle for tests and benchmarks.
-
-:func:`greedy_max_coverage` exposes the same vectorized greedy over raw flat
-arrays for callers that build ad-hoc collections (the Com-IC baselines).
+:func:`node_selection` runs over an :class:`RRCollection` (PRIMA, IMM and
+the Com-IC sketches); :func:`greedy_max_coverage` is the same loop over raw
+flat arrays.
 """
 
 from __future__ import annotations
@@ -79,29 +76,16 @@ def _greedy_rounds(
 def greedy_max_coverage(
     num_nodes: int, members: np.ndarray, offsets: np.ndarray, k: int
 ) -> Tuple[List[int], int]:
-    """Vectorized greedy max-coverage over raw flat CSR arrays.
+    """Greedy max-coverage over raw flat CSR arrays.
 
-    ``members[offsets[i] : offsets[i+1]]`` are the nodes of set ``i``.
-    Duplicate nodes within a set are tolerated (de-duplicated up front, so
-    gains and coverage count each (set, node) pair once).  Builds the
-    inverted index in bulk (``argsort`` + ``bincount``) and runs the same
-    greedy rounds as :func:`node_selection`.  Returns the ordered seed list
-    and the number of covered sets.
+    ``members[offsets[i] : offsets[i+1]]`` are the nodes of set ``i``, and
+    they must be distinct within each set (every RR sampler emits sets, so
+    a node's occurrence count is its cover count).  Builds the inverted
+    index and runs the greedy rounds of :func:`node_selection`.  Returns
+    the ordered seed list and the number of covered sets.
     """
     members = np.asarray(members, dtype=np.int64)
     offsets = np.asarray(offsets, dtype=np.int64)
-    num_sets = offsets.shape[0] - 1
-    # Normalize: drop duplicate (set, node) pairs so occurrence counts equal
-    # set counts everywhere downstream.
-    if members.shape[0]:
-        set_ids = np.repeat(
-            np.arange(num_sets, dtype=np.int64), np.diff(offsets)
-        )
-        unique_keys = np.unique(set_ids * np.int64(num_nodes) + members)
-        members = unique_keys % num_nodes
-        lengths = np.bincount(unique_keys // num_nodes, minlength=num_sets)
-        offsets = np.zeros(num_sets + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
     k = min(k, num_nodes)  # same clamp as node_selection: no duplicate seeds
     idx_sets, idx_indptr = build_inverted_index(members, offsets, num_nodes)
     gains = np.diff(idx_indptr).astype(np.int64)
@@ -144,41 +128,4 @@ def node_selection(
         seeds, covered_total = _greedy_rounds(
             n, members, offsets, idx_sets, idx_indptr, gains, k
         )
-    return seeds, covered_total / num_sets
-
-
-def node_selection_reference(
-    collection: RRCollection, k: int
-) -> Tuple[List[int], float]:
-    """The historical per-element greedy loop (equivalence oracle).
-
-    Same tie-break contract as :func:`node_selection`; kept for the
-    exact-equivalence tests and the engine benchmark.
-    """
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    n = collection.graph.num_nodes
-    k = min(k, n)
-    num_sets = collection.num_sets
-    if num_sets == 0:
-        return list(range(k)), 0.0
-
-    gains = collection.cover_counts.astype(np.int64).copy()
-    covered = np.zeros(num_sets, dtype=bool)
-    sets = collection.sets()
-    seeds: List[int] = []
-    covered_total = 0
-    for _ in range(k):
-        u = int(np.argmax(gains))
-        seeds.append(u)
-        gain_u = int(gains[u])
-        if gain_u > 0:
-            for rr_id in collection.containing(u):
-                if covered[rr_id]:
-                    continue
-                covered[rr_id] = True
-                covered_total += 1
-                for w in sets[rr_id]:
-                    gains[int(w)] -= 1
-        gains[u] = -1
     return seeds, covered_total / num_sets

@@ -379,7 +379,7 @@ class RRCollection:
                 lengths = np.fromiter(
                     (rr.shape[0] for rr in sets), dtype=np.int64, count=count
                 )
-            self._append_flat(members, lengths)
+            self.append_flat(members, lengths)
         _RR_SETS_GENERATED.inc(
             count, backend="batched" if batched else "sequential"
         )
@@ -399,7 +399,7 @@ class RRCollection:
         lengths = np.fromiter(
             (a.shape[0] for a in arrays), dtype=np.int64, count=len(arrays)
         )
-        self._append_flat(members, lengths)
+        self.append_flat(members, lengths)
 
     def extend_to(self, target: int) -> None:
         """Generate RR sets until ``num_sets >= target``."""
@@ -407,8 +407,12 @@ class RRCollection:
         if missing > 0:
             self.generate(missing)
 
-    def _append_flat(self, members: np.ndarray, lengths: np.ndarray) -> None:
-        """Append pre-sampled sets given flat members + per-set lengths."""
+    def append_flat(self, members: np.ndarray, lengths: np.ndarray) -> None:
+        """Append pre-sampled sets given flat members + per-set lengths.
+
+        The hook for samplers the collection does not own (the Com-IC GAP
+        sampler); members must be distinct within each set.
+        """
         new_members = int(members.shape[0])
         new_sets = int(lengths.shape[0])
         self._reserve(new_members, new_sets)
@@ -574,7 +578,7 @@ class RRCollection:
                 f"offsets[-1] == {int(offsets[-1])}"
             )
         lengths = np.diff(offsets)
-        collection._append_flat(members, lengths)
+        collection.append_flat(members, lengths)
         if index is not None:
             idx_sets, idx_indptr = index
             collection._idx_sets = np.asarray(idx_sets, dtype=np.int64).copy()

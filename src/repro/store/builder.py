@@ -25,13 +25,15 @@ Entry points, one output type:
   GAP coin parameters — everything a later process needs to serve the
   selection warm or extend the θ phase transparently.
 * :func:`extend_store` — incremental θ-extension, dispatching on the
-  store's model: restore the persisted RNG state, rebuild the live
-  sampling state *around* the stored arrays (``RRCollection.from_flat``
-  for PRIMA; a :class:`~repro.baselines._comic_common._GapSampler` with
-  the restored world cursor and bitmap for Com-IC), generate the extra
-  sets, and merge the delta into the inverted index incrementally.  The
-  save/load round trip is transparent: the extension is byte-identical to
-  growing the original live state by the same amount.
+  store's model: restore the persisted RNG state, wrap the stored arrays
+  and inverted index in a live ``RRCollection.from_flat``, grow it (by
+  its own sampler for PRIMA; by a
+  :class:`~repro.baselines._comic_common._GapSampler` with the restored
+  world cursor and bitmap for Com-IC, which then re-selects), and
+  snapshot it; the collection merges the delta into the inverted index
+  incrementally.  The save/load round trip is transparent: the extension
+  is byte-identical to growing the original live state by the same
+  amount.
 
 Every builder accepts a :class:`~repro.engine.EngineContext` (``ctx=``);
 the removed legacy ``seed=``/``backend=`` kwargs raise ``TypeError``
@@ -52,11 +54,8 @@ from repro.graph.digraph import InfluenceGraph
 from repro.rrset.batch import rr_set_widths
 from repro.rrset.oracle import InfluenceOracle
 from repro.rrset.prima import prima
-from repro.rrset.rrgen import (
-    RRCollection,
-    build_inverted_index,
-    merge_inverted_index,
-)
+from repro.rrset.node_selection import node_selection
+from repro.rrset.rrgen import RRCollection, build_inverted_index
 from repro.store.format import INDEX_DTYPE, WORLDS_DTYPE
 from repro.store.sketch_store import SketchStore, SketchStoreError
 
@@ -385,34 +384,14 @@ def build_comic_store(
         num_forward_worlds,
         extra_forward_pass,
     )
-    n = graph.num_nodes
-    idx_sets, idx_indptr = build_inverted_index(
-        state.members, state.offsets, n
-    )
-    lengths = np.diff(state.offsets)
-
-    from repro.graph.io import graph_fingerprint
-
-    return SketchStore(
-        fingerprint=graph_fingerprint(graph),
-        num_nodes=n,
-        num_edges=graph.num_edges,
-        max_budget=min(int(budget), n),
-        epsilon=float(epsilon),
-        ell=float(ell),
-        backend=ctx.backend,
-        triggering=None,
-        world_cursor=int(state.world_cursor),
-        rng_state=ctx.rng.bit_generator.state,
-        seed_order=np.asarray(state.seeds, dtype=INDEX_DTYPE),
-        members=np.asarray(state.members, dtype=INDEX_DTYPE),
-        offsets=np.asarray(state.offsets, dtype=INDEX_DTYPE),
-        widths=rr_set_widths(graph, state.members, lengths),
-        idx_sets=idx_sets,
-        idx_indptr=idx_indptr,
-        cover_counts=np.bincount(
-            state.members, minlength=n
-        ).astype(INDEX_DTYPE),
+    return SketchStore.from_collection(
+        graph,
+        state.collection,
+        state.seeds,
+        max_budget=min(int(budget), graph.num_nodes),
+        epsilon=epsilon,
+        ell=ell,
+        world_cursor=state.world_cursor,
         model="comic",
         comic=_comic_meta(
             model,
@@ -439,18 +418,16 @@ def _extend_comic(
 
     Rebuilds the :class:`~repro.baselines._comic_common._GapSampler`
     around the persisted RNG state, world cursor and forward-world bitmap,
-    draws ``add`` more GAP RR sets (byte-identical to uninterrupted
-    growth), merges the delta into the inverted index incrementally, and
-    re-runs greedy max coverage on the grown collection so the stored
-    seeds stay the selection the full sketch implies.
+    wraps the stored arrays and index in a collection, appends ``add``
+    more GAP RR sets (byte-identical to uninterrupted growth), and re-runs
+    the selection on the grown collection so the stored seeds stay the
+    selection the full sketch implies.
     """
     from repro.baselines._comic_common import (
         _GapSampler,
         bitmap_to_worlds,
     )
-    from repro.rrset.node_selection import greedy_max_coverage
 
-    comic = store.comic or {}
     rng = store.restore_rng()
     # create() validates the backend (legacy overrides and persisted
     # headers alike) and seeds the cursor at the persisted position.
@@ -461,8 +438,8 @@ def _extend_comic(
     )
     sampler = _GapSampler(
         graph,
-        q_plain=float(comic["q_plain"]),
-        q_boosted=float(comic["q_boosted"]),
+        q_plain=float(store.comic["q_plain"]),
+        q_boosted=float(store.comic["q_boosted"]),
         ctx=ctx,
     )
     bitmap = np.asarray(store.worlds, dtype=WORLDS_DTYPE)
@@ -471,61 +448,32 @@ def _extend_comic(
     else:
         sampler.set_worlds(bitmap_to_worlds(bitmap))
 
-    delta_members, delta_lengths = sampler.sample(int(add))
-    old_members = np.asarray(store.members, dtype=INDEX_DTYPE)
-    members = np.concatenate([old_members, delta_members])
-    lengths = np.concatenate(
-        [np.diff(store.offsets), delta_lengths]
-    ).astype(INDEX_DTYPE)
-    offsets = np.zeros(lengths.shape[0] + 1, dtype=INDEX_DTYPE)
-    np.cumsum(lengths, out=offsets[1:])
-
-    n = graph.num_nodes
-    # Delta-only bookkeeping: widths and cover counts append/add the new
-    # sets instead of re-scanning the whole grown collection.
-    widths = np.concatenate(
-        [
-            np.asarray(store.widths, dtype=INDEX_DTYPE),
-            rr_set_widths(graph, delta_members, delta_lengths),
-        ]
+    collection = RRCollection.from_flat(
+        graph,
+        None,
+        store.members,
+        store.offsets,
+        index=(store.idx_sets, store.idx_indptr),
+        ctx=ctx,
     )
-    cover_counts = np.asarray(
-        store.cover_counts, dtype=INDEX_DTYPE
-    ) + np.bincount(delta_members, minlength=n)
-    delta_offsets = np.zeros(delta_lengths.shape[0] + 1, dtype=INDEX_DTYPE)
-    np.cumsum(delta_lengths, out=delta_offsets[1:])
-    delta_idx, delta_indptr = build_inverted_index(
-        delta_members, delta_offsets, n
-    )
-    delta_idx += store.num_sets
-    idx_sets, idx_indptr = merge_inverted_index(
-        np.asarray(store.idx_sets, dtype=INDEX_DTYPE),
-        np.asarray(store.idx_indptr, dtype=INDEX_DTYPE),
-        delta_idx,
-        delta_indptr,
-    )
-
-    seeds, covered = greedy_max_coverage(
-        n, members, offsets, min(store.max_budget, n)
-    )
-    comic = dict(comic)
-    comic["covered"] = int(covered)
+    collection.append_flat(*sampler.sample(int(add)))
+    seeds, fraction = node_selection(collection, store.max_budget)
+    comic = dict(store.comic)
+    comic["covered"] = round(fraction * collection.num_sets)
     # θ is the size of the (now grown) θ-phase collection; keep the
     # header consistent with the arrays so covered/θ stays a fraction.
-    comic["theta"] = int(lengths.shape[0])
-    return store.replace_arrays(
+    comic["theta"] = collection.num_sets
+    return SketchStore.from_collection(
+        graph,
+        collection,
+        seeds,
+        max_budget=store.max_budget,
+        epsilon=store.epsilon,
+        ell=store.ell,
         world_cursor=sampler.used,
-        rng_state=ctx.rng.bit_generator.state,
-        seed_order=np.asarray(seeds, dtype=INDEX_DTYPE),
-        members=members,
-        offsets=offsets,
-        widths=widths,
-        idx_sets=idx_sets,
-        idx_indptr=idx_indptr,
-        cover_counts=cover_counts,
+        model="comic",
         comic=comic,
         worlds=bitmap,
-        backend=ctx.backend,
     )
 
 

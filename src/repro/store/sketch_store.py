@@ -40,7 +40,7 @@ Failure modes are explicit:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Union
 
@@ -238,10 +238,6 @@ class SketchStore:
                 f"{self.fingerprint[:16]}… but is being served against "
                 f"{actual[:16]}… (n={graph.num_nodes}); rebuild the store"
             )
-
-    def replace_arrays(self, **updates) -> "SketchStore":
-        """A copy with some fields replaced (save-side convenience)."""
-        return replace(self, **updates)
 
     # ------------------------------------------------------------------
     # Serialization

@@ -12,9 +12,10 @@ Covers the layers added on top of the PR-1 batched RR engine:
   denominator (unbiased adoption estimator);
 * golden sequential RR-SIM+/RR-CIM runs (seed tuples + ``num_rr_sets``),
   mirroring the PRIMA goldens of ``test_rrset_engine.py``;
-* batched KPT estimation for TIM agreeing with the sequential estimate;
-* singleton-graph regressions: ``tim``/``imm``/``prima``/``ssa`` on a
-  1-node graph with ``k >= 1`` must return ``(0,)``.
+* batched KPT estimation (the Com-IC baselines' TIM phase) agreeing with
+  the sequential estimate;
+* singleton-graph regressions: ``imm``/``prima`` on a 1-node graph with
+  ``k >= 1`` must return ``(0,)``.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ import pytest
 
 from repro.baselines._comic_common import (
     _GapSampler,
+    _estimate_kpt,
     _gap_rr_set,
     comic_rr_selection,
 )
@@ -42,9 +44,6 @@ from repro.rrset.batch import (
 )
 from repro.rrset.imm import imm
 from repro.rrset.prima import prima
-from repro.rrset.ssa import ssa
-from repro.rrset.tim import tim
-from repro.rrset.tim import _kpt_estimation
 
 GAP = ComICModel(0.5, 0.84, 0.5, 0.84)
 
@@ -308,60 +307,28 @@ class TestSequentialGoldens:
 
 class TestBatchedKPT:
     def test_tim_kpt_agrees_across_backends(self):
+        # With both adoption coins at 1 every GAP set is an IC RR set, so
+        # this is TIM's KptEstimation on the one surviving estimator.
         g = random_wc_graph(800, avg_degree=6, seed=31)
-        kpt_seq, used_seq = _kpt_estimation(
-            g, 10, 1.0, np.random.default_rng(3), backend="sequential"
-        )
-        kpt_bat, used_bat = _kpt_estimation(
-            g, 10, 1.0, np.random.default_rng(3), backend="batched"
-        )
+        estimates = {}
+        for backend in ("sequential", "batched"):
+            sampler = _GapSampler(
+                g, q_plain=1.0, q_boosted=1.0,
+                ctx=EngineContext.create(
+                    backend=backend, rng=np.random.default_rng(3)
+                ),
+            )
+            estimates[backend] = _estimate_kpt(g, 10, 1.0, sampler)
+        kpt_seq, used_seq = estimates["sequential"]
+        kpt_bat, used_bat = estimates["batched"]
         # Same geometric schedule, independent streams: the estimates target
         # the same KPT and typically stop at the same round.
         assert kpt_bat == pytest.approx(kpt_seq, rel=0.5)
         assert used_bat == used_seq
 
-    def test_tim_backend_knob_covers_kpt_phase(self, monkeypatch):
-        import sys
-
-        # ``repro.rrset.tim`` the attribute is the function (rebound by the
-        # package __init__); fetch the module itself for monkeypatching.
-        tim_module = sys.modules["repro.rrset.tim"]
-
-        calls = []
-        original = tim_module.batch_generate_rr_sets
-
-        def spy(graph, rng, count, **kwargs):
-            calls.append(count)
-            return original(graph, rng, count, **kwargs)
-
-        monkeypatch.setattr(tim_module, "batch_generate_rr_sets", spy)
-        g = random_wc_graph(200, avg_degree=5, seed=8)
-        tim(
-            g, 5,
-            ctx=EngineContext.create(
-                backend="batched", rng=np.random.default_rng(1)
-            ),
-        )
-        assert calls  # KPT rounds went through the batched sampler
-        tim_calls = len(calls)
-        tim(
-            g, 5,
-            ctx=EngineContext.create(
-                backend="sequential", rng=np.random.default_rng(1)
-            ),
-        )
-        assert len(calls) == tim_calls  # sequential KPT stayed per-set
-
 
 class TestSingletonGraphs:
     """Regression: 1-node graphs with k >= 1 must select node 0."""
-
-    def test_tim_singleton(self):
-        result = tim(InfluenceGraph(1, []), 1)
-        assert result.seeds == (0,)
-        assert result.coverage_fraction == 1.0
-        result3 = tim(InfluenceGraph(1, []), 3)  # k clamped to n
-        assert result3.seeds == (0,)
 
     def test_imm_singleton(self):
         assert imm(InfluenceGraph(1, []), 1).seeds == (0,)
@@ -371,19 +338,11 @@ class TestSingletonGraphs:
         assert result.seeds == (0,)
         assert result.coverage_fraction == 1.0
 
-    def test_ssa_singleton(self):
-        result = ssa(InfluenceGraph(1, []), 1)
-        assert result.seeds == (0,)
-        assert result.influence_estimate == pytest.approx(1.0)
-
     def test_empty_graph_still_returns_no_seeds(self):
         g = InfluenceGraph(0, [])
-        assert tim(g, 1).seeds == ()
         assert imm(g, 1).seeds == ()
-        assert ssa(g, 1).seeds == ()
         assert prima(g, [1]).seeds == ()
 
     def test_zero_budget_singleton(self):
         g = InfluenceGraph(1, [])
-        assert tim(g, 0).seeds == ()
         assert prima(g, [0]).seeds == ()

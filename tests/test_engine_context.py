@@ -44,8 +44,6 @@ from repro.graph.generators import random_wc_graph, star_graph
 from repro.rrset.imm import imm
 from repro.rrset.prima import prima
 from repro.rrset.rrgen import RRCollection
-from repro.rrset.ssa import ssa
-from repro.rrset.tim import tim
 from repro.utility.model import UtilityModel
 from repro.utility.noise import GaussianNoise
 from repro.utility.price import AdditivePrice
@@ -303,14 +301,10 @@ class TestIntegerSeedUniformity:
         assert est == pytest.approx(float(np.mean(totals)))
 
 
-#: (runner, relative quality tolerance).  SSA stops at far smaller sample
-#: sizes than the θ-bounded algorithms, so its selections wobble more
-#: between independent streams.
+#: (runner, relative quality tolerance).
 SELECTORS = {
     "prima": (lambda g, ctx: prima(g, [5, 3], ctx=ctx).seeds, 0.1),
     "imm": (lambda g, ctx: imm(g, 5, ctx=ctx).seeds, 0.1),
-    "tim": (lambda g, ctx: tim(g, 5, ctx=ctx).seeds, 0.1),
-    "ssa": (lambda g, ctx: ssa(g, 5, ctx=ctx).seeds, 0.4),
 }
 
 
@@ -435,16 +429,6 @@ class TestContextThreading:
         )
         assert ctx.cursor.position == state.world_cursor
         assert state.world_cursor == state.theta + state.kpt_sets
-
-    def test_tim_triggering_covers_both_phases(self):
-        g = random_wc_graph(120, avg_degree=4, seed=13)
-        for backend in BACKENDS:
-            ctx = EngineContext.create(
-                backend=backend, seed=3, triggering="lt"
-            )
-            result = tim(g, 3, ctx=ctx)
-            assert len(result.seeds) == 3
-            assert result.kpt > 0
 
     def test_env_read_happens_once_at_construction(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "sequential")

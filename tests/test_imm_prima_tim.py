@@ -1,4 +1,4 @@
-"""Unit and statistical tests for IMM, PRIMA and TIM."""
+"""Unit and statistical tests for IMM and PRIMA."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.graph.generators import star_graph
 from repro.rrset.bounds import adjusted_ell, ell_prime_for
 from repro.rrset.imm import imm, imm_seed_pool
 from repro.rrset.prima import prima
-from repro.rrset.tim import tim
 
 
 class TestIMM:
@@ -119,31 +118,3 @@ class TestPRIMA:
         result = prima(small_graph, [10, 5], rng=np.random.default_rng(1))
         assert len(result.lower_bounds) == 2
         assert all(lb >= 1.0 for lb in result.lower_bounds)
-
-
-class TestTIM:
-    def test_seed_quality(self, medium_graph):
-        result = tim(medium_graph, 10, rng=np.random.default_rng(0))
-        imm_result = imm(medium_graph, 10, rng=np.random.default_rng(0))
-        rng = np.random.default_rng(1)
-        spread_tim = estimate_spread(medium_graph, result.seeds, 250, rng)
-        spread_imm = estimate_spread(medium_graph, imm_result.seeds, 250, rng)
-        assert spread_tim >= 0.85 * spread_imm
-
-    def test_generates_more_rr_sets_than_imm(self, medium_graph):
-        """The Fig. 6 phenomenon: TIM's sample size dwarfs IMM's."""
-        t = tim(medium_graph, 10, rng=np.random.default_rng(2))
-        i = imm(medium_graph, 10, rng=np.random.default_rng(2))
-        assert t.num_rr_sets > 5 * i.num_rr_sets
-
-    def test_zero_budget(self, small_graph):
-        result = tim(small_graph, 0, rng=np.random.default_rng(0))
-        assert result.seeds == ()
-
-    def test_negative_budget_rejected(self, small_graph):
-        with pytest.raises(ValueError):
-            tim(small_graph, -1)
-
-    def test_kpt_positive(self, small_graph):
-        result = tim(small_graph, 5, rng=np.random.default_rng(3))
-        assert result.kpt >= 1.0

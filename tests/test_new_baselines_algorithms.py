@@ -1,4 +1,4 @@
-"""Tests for marginal-greedy, MC greedy IM, SSA, and the competitive
+"""Tests for marginal-greedy, MC greedy IM, and the competitive
 (submodular) valuation extension."""
 
 import numpy as np
@@ -13,7 +13,6 @@ from repro.graph.digraph import InfluenceGraph
 from repro.graph.generators import line_graph, random_wc_graph, star_graph
 from repro.rrset.greedy_mc import greedy_mc
 from repro.rrset.imm import imm
-from repro.rrset.ssa import ssa
 from repro.utility.model import UtilityModel
 from repro.utility.noise import ZeroNoise
 from repro.utility.price import AdditivePrice
@@ -119,43 +118,6 @@ class TestGreedyMC:
         spread_mc = estimate_spread(graph, mc.seeds, 300, rng)
         spread_ris = estimate_spread(graph, ris.seeds, 300, rng)
         assert spread_mc >= 0.8 * spread_ris
-
-
-class TestSSA:
-    def test_star_hub(self):
-        graph = star_graph(30, probability=0.6)
-        result = ssa(graph, 1, rng=np.random.default_rng(0))
-        assert result.seeds == (0,)
-        assert result.rounds >= 1
-
-    def test_validation_close_to_estimate_on_stop(self, medium_graph):
-        result = ssa(medium_graph, 10, rng=np.random.default_rng(1))
-        assert result.validation_estimate >= (1 - 0.25) * result.influence_estimate
-
-    def test_quality_comparable_to_imm(self, medium_graph):
-        ssa_result = ssa(medium_graph, 10, rng=np.random.default_rng(2))
-        imm_result = imm(medium_graph, 10, rng=np.random.default_rng(2))
-        rng = np.random.default_rng(3)
-        spread_ssa = estimate_spread(medium_graph, ssa_result.seeds, 250, rng)
-        spread_imm = estimate_spread(medium_graph, imm_result.seeds, 250, rng)
-        assert spread_ssa >= 0.8 * spread_imm
-
-    def test_often_cheaper_than_imm(self, medium_graph):
-        """SSA's selling point: early stopping below IMM's worst case."""
-        ssa_result = ssa(medium_graph, 10, rng=np.random.default_rng(4))
-        imm_result = imm(medium_graph, 10, rng=np.random.default_rng(4))
-        assert ssa_result.num_rr_sets < imm_result.num_rr_sets
-
-    def test_no_prefix_guarantee_machinery(self, medium_graph):
-        """SSA certifies only its own budget: unlike PRIMA there is no
-        budget-vector interface — the structural reason bundleGRD needs
-        PRIMA.  (Prefixes may happen to be good; nothing certifies them.)"""
-        result = ssa(medium_graph, 20, rng=np.random.default_rng(5))
-        assert len(result.seeds) == 20
-        assert not hasattr(result, "seeds_for_budget")
-
-    def test_zero_budget(self, small_graph):
-        assert ssa(small_graph, 0).seeds == ()
 
 
 class TestCompetitiveValuation:

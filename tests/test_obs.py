@@ -376,3 +376,27 @@ class TestEnginePhaseMetrics:
         )
         assert phase.snapshot(phase="forward")["count"] == before + 1
         assert worlds.value(engine="batched") == worlds_before + 16
+
+    def test_comic_sketch_reports_kpt_and_selection(self):
+        from repro.baselines._comic_common import comic_rr_sketch
+        from repro.diffusion.comic import ComICModel
+
+        phase = obs.REGISTRY.get("repro_engine_phase_seconds")
+        before = {
+            name: phase.snapshot(phase=name)["count"]
+            for name in ("kpt", "selection")
+        }
+        obs.enable_tracing()
+        obs.clear_finished()
+        with obs.span("run"):
+            comic_rr_sketch(
+                random_wc_graph(80, avg_degree=4, seed=3),
+                ComICModel(0.5, 0.8, 0.5, 0.8), 0, (1, 2), 2, 0.5, 1.0,
+                EngineContext.create(seed=4), 2, False,
+            )
+        (root,) = obs.finished_roots()
+        assert [c.name for c in root.children] == [
+            "rrset.kpt", "rrset.node_selection",
+        ]
+        for name, count in before.items():
+            assert phase.snapshot(phase=name)["count"] == count + 1

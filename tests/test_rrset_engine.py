@@ -9,33 +9,36 @@ Covers the three engine layers introduced with the flat CSR refactor:
   sampler's coverage statistics within tolerance (IC and LT) on a 1k-node
   Watts–Strogatz graph;
 * vectorized NodeSelection — bit-for-bit identical to the reference
-  per-element greedy loop, including the lowest-id tie-break contract.
+  per-element greedy loop, including the lowest-id tie-break contract;
+* the invariant selection relies on — every sampler feeding it emits each
+  (set, node) pair at most once.
 """
 
 import numpy as np
 import pytest
 
+from repro.baselines._comic_common import _GapSampler
 from repro.diffusion.triggering import (
+    AttentionICTriggering,
     LinearThresholdTriggering,
     TriggeringModel,
 )
 from repro.graph.generators import (
+    erdos_renyi,
     line_graph,
     random_wc_graph,
     star_graph,
     watts_strogatz_wc_graph,
 )
+from repro.graph.weighting import fixed_probability
 from repro.rrset.batch import (
     BACKEND_ENV,
+    batch_generate_gap_rr_sets,
     batch_generate_rr_sets,
     resolve_backend,
     supports_batched,
 )
-from repro.rrset.node_selection import (
-    greedy_max_coverage,
-    node_selection,
-    node_selection_reference,
-)
+from repro.rrset.node_selection import greedy_max_coverage, node_selection
 from repro.engine import EngineContext
 from repro.rrset.prima import prima
 from repro.rrset.rrgen import RRCollection, generate_rr_set
@@ -278,6 +281,38 @@ class TestFlatStorage:
         assert first >= 0.0
 
 
+def node_selection_reference(collection, k):
+    """The historical per-element greedy loop (equivalence oracle).
+
+    Same tie-break contract as :func:`node_selection`: highest residual
+    gain, ties to the smallest node id.
+    """
+    n = collection.graph.num_nodes
+    k = min(k, n)
+    num_sets = collection.num_sets
+    if num_sets == 0:
+        return list(range(k)), 0.0
+
+    gains = collection.cover_counts.astype(np.int64)
+    covered = np.zeros(num_sets, dtype=bool)
+    sets = collection.sets()
+    seeds = []
+    covered_total = 0
+    for _ in range(k):
+        u = int(np.argmax(gains))
+        seeds.append(u)
+        if gains[u] > 0:
+            for rr_id in collection.containing(u):
+                if covered[rr_id]:
+                    continue
+                covered[rr_id] = True
+                covered_total += 1
+                for w in sets[rr_id]:
+                    gains[int(w)] -= 1
+        gains[u] = -1
+    return seeds, covered_total / num_sets
+
+
 class TestVectorizedNodeSelection:
     def _random_collection(self, seed, n=150, count=400):
         g = random_wc_graph(n, avg_degree=6, seed=seed)
@@ -318,15 +353,6 @@ class TestVectorizedNodeSelection:
         assert seeds == [0, 4]
         assert covered == 5
 
-    def test_greedy_max_coverage_dedups_repeated_members(self):
-        # set 0 = {0} written as [0, 0, 0]; set 1 = {1}: node 0 must win
-        # with a gain of 1 set, and coverage must count sets, not entries.
-        members = np.array([0, 0, 0, 1], dtype=np.int64)
-        offsets = np.array([0, 3, 4], dtype=np.int64)
-        seeds, covered = greedy_max_coverage(3, members, offsets, 1)
-        assert seeds == [0]
-        assert covered == 1  # not 3
-
     def test_add_sets_dedups_repeated_members(self):
         g = line_graph(4, 0.0)
         coll = RRCollection(g, np.random.default_rng(0))
@@ -343,3 +369,63 @@ class TestVectorizedNodeSelection:
         assert len(seeds) == 3
         assert len(set(seeds)) == 3  # no duplicate seeds past exhaustion
         assert covered == 2
+
+
+def _assert_distinct_members(num_nodes, members, lengths):
+    """No (set, node) pair occurs twice in a flat sampler output."""
+    assert int(lengths.sum()) == members.size
+    set_id = np.repeat(np.arange(lengths.shape[0], dtype=np.int64), lengths)
+    assert np.unique(set_id * num_nodes + members).size == members.size
+
+
+class TestSamplersEmitDistinctMembers:
+    """Selection counts a node's occurrences as its cover count, so every
+    sampler feeding it must emit distinct members within each set."""
+
+    SEEDS = (0, 1, 2)
+
+    @staticmethod
+    def _dense_graph(seed):
+        # Supercritical fixed-probability graph: large sets, and frontier
+        # nodes often share in-neighbours within one expansion round.
+        return fixed_probability(300, erdos_renyi(300, 6, seed=seed), 0.25)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize(
+        "triggering",
+        [None, LinearThresholdTriggering(), AttentionICTriggering(3)],
+        ids=["ic", "lt", "attention-ic"],
+    )
+    def test_batch_generate_rr_sets(self, triggering, seed):
+        g = (
+            random_wc_graph(300, avg_degree=6, seed=seed)
+            if isinstance(triggering, LinearThresholdTriggering)
+            else self._dense_graph(seed)
+        )
+        members, lengths = batch_generate_rr_sets(
+            g, np.random.default_rng(seed), 400, triggering=triggering
+        )
+        _assert_distinct_members(g.num_nodes, members, lengths)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_batch_generate_gap_rr_sets(self, seed):
+        g = self._dense_graph(seed)
+        rng = np.random.default_rng(seed)
+        boosted = rng.random((3, g.num_nodes)) < 0.4
+        world_ids = rng.integers(0, 3, 400)
+        members, lengths = batch_generate_gap_rr_sets(
+            g, rng, 400, 0.7, 0.95, boosted, world_ids
+        )
+        _assert_distinct_members(g.num_nodes, members, lengths)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("backend", ["sequential", "batched"])
+    def test_gap_sampler(self, backend, seed):
+        g = self._dense_graph(seed)
+        sampler = _GapSampler(
+            g, q_plain=0.7, q_boosted=0.95,
+            ctx=EngineContext.create(backend=backend, seed=seed),
+        )
+        sampler.set_worlds([set(range(0, 300, 3)), set(range(1, 300, 5))])
+        members, lengths = sampler.sample(200)
+        _assert_distinct_members(g.num_nodes, members, lengths)
