@@ -43,7 +43,11 @@ state is a set of flat ``(worlds, n)`` arrays:
 **Memory.**  Worlds are processed in chunks sized so the per-chunk state
 (bitmaps, thresholds, live-edge flags) stays within ``_TARGET_BYTES``;
 arbitrarily many worlds stream through a fixed working set, mirroring the
-chunked visited bitmap of the batched RR sampler.
+chunked visited bitmap of the batched RR sampler.  The estimators read only
+per-world totals (:func:`batch_uic_totals`, :func:`batch_comic_counts`), so
+no per-node state outlives its chunk; :func:`batch_simulate_uic` and
+:func:`batch_simulate_comic` keep every world's per-node state for the
+tests and the GAP sampler.
 
 **Oracle contract.**  The sequential simulators are kept byte-identical and
 remain the equivalence oracles: for a fixed RNG they reproduce the
@@ -63,12 +67,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.diffusion.adoption import TIE_TOL
-from repro.diffusion.comic import ITEM_A, ITEM_B, ComICModel
+from repro.diffusion.comic import ITEM_A, ITEM_B, ComICModel, check_item
 from repro.diffusion.triggering import (
     IndependentCascadeTriggering,
     TriggerCSR,
@@ -157,6 +162,25 @@ def _seed_frontier(
     fw = np.repeat(np.arange(batch, dtype=np.int64), seeds.shape[0])
     fn = np.tile(seeds, batch)
     return fw, fn
+
+
+def _or_by_pair(
+    w: np.ndarray, v: np.ndarray, masks: np.ndarray, n: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """OR ``masks`` over each distinct non-empty ``(w, v)`` group.
+
+    Returns ``(pw, pv, merged)`` with one entry per distinct pair, in
+    ascending ``w·n + v`` order.
+    """
+    key = w * n + v
+    order = np.argsort(key, kind="stable")
+    key_sorted = key[order]
+    bounds = np.concatenate(
+        ([0], np.flatnonzero(key_sorted[1:] != key_sorted[:-1]) + 1)
+    )
+    merged = np.bitwise_or.reduceat(masks[order], bounds)
+    pair = key_sorted[bounds]
+    return pair // n, pair % n, merged
 
 
 class _LiveEdgeLog:
@@ -341,15 +365,132 @@ class BatchComICResult:
 
     def adopters_bitmap(self, item: int) -> np.ndarray:
         """Per-world adopter bitmap of the given item."""
-        if item == ITEM_A:
-            return self.adopted_a
-        if item == ITEM_B:
-            return self.adopted_b
-        raise ValueError(f"Com-IC supports items 0 and 1, got {item}")
+        check_item(item)
+        return self.adopted_a if item == ITEM_A else self.adopted_b
 
     def adopter_counts(self, item: int) -> np.ndarray:
         """Per-world adopter counts of the given item."""
         return self.adopters_bitmap(item).sum(axis=1)
+
+
+def _comic_chunks(
+    graph: InfluenceGraph,
+    model: ComICModel,
+    seeds_a: Sequence[int],
+    seeds_b: Sequence[int],
+    num_worlds: int,
+    rng: np.random.Generator,
+) -> Iterator[np.ndarray]:
+    """Validate a batched Com-IC run, then return its chunk iterator.
+
+    The iterator simulates the worlds chunk by chunk and yields each
+    chunk's ``(batch, n, 2)`` boolean adoption state (last axis: item).
+    A run without seeds yields nothing and draws nothing.
+    """
+    if not model.is_mutually_complementary():
+        raise ValueError(
+            "batch_simulate_comic implements the mutually complementary "
+            "regime; got a competitive parameterization"
+        )
+    n = graph.num_nodes
+    if num_worlds < 0:
+        raise ValueError(f"num_worlds must be non-negative, got {num_worlds}")
+    seeds = []
+    for item_seeds in (seeds_a, seeds_b):
+        arr = np.unique(np.asarray(list(item_seeds), dtype=np.int64))
+        if arr.size and (arr[0] < 0 or arr[-1] >= n):
+            raise IndexError(f"seed outside graph of {n} nodes")
+        seeds.append(arr)
+    if seeds[ITEM_A].size == 0 and seeds[ITEM_B].size == 0:
+        return iter(())
+
+    # q_table[item, has_other]: the GAP the threshold is compared against.
+    q_table = np.array(
+        [
+            [model.q_a_empty, model.q_a_given_b],
+            [model.q_b_empty, model.q_b_given_a],
+        ],
+        dtype=np.float64,
+    )
+    # Per-world bytes: thresholds (2 float64) + informed/adopted (4 bool) +
+    # the live-edge log's expanded bitmap per node.
+    bytes_per_world = 21 * n
+
+    def run() -> Iterator[np.ndarray]:
+        for batch in _world_chunks(num_worlds, bytes_per_world):
+            thresholds = rng.random((batch, n, 2))
+            live_log = _LiveEdgeLog(batch, n)
+            informed = np.zeros((batch, n, 2), dtype=bool)
+            adopted = np.zeros((batch, n, 2), dtype=bool)
+
+            # Initial information events: each item's seeds, every world.
+            parts_w, parts_v, parts_i = [], [], []
+            for item in (ITEM_A, ITEM_B):
+                if seeds[item].size:
+                    fw, fn = _seed_frontier(seeds[item], batch)
+                    parts_w.append(fw)
+                    parts_v.append(fn)
+                    parts_i.append(np.full(fw.shape[0], item, dtype=np.int64))
+            ew = np.concatenate(parts_w)
+            ev = np.concatenate(parts_v)
+            ei = np.concatenate(parts_i)
+
+            while ew.size:
+                informed[ew, ev, ei] = True
+                # First wave: the NLA with the *current* other-item state.
+                has_other = adopted[ew, ev, 1 - ei].astype(np.int64)
+                passes = thresholds[ew, ev, ei] <= q_table[ei, has_other]
+                aw, av, ai = ew[passes], ev[passes], ei[passes]
+                adopted[aw, av, ai] = True
+                # Reconsideration: a fresh adoption boosts the other item's
+                # GAP; nodes informed of the other item earlier (or this
+                # round) that suspended it re-run the automaton against
+                # q(other | item).
+                oi = 1 - ai
+                redo = (
+                    informed[aw, av, oi]
+                    & ~adopted[aw, av, oi]
+                    & (thresholds[aw, av, oi] <= q_table[oi, 1])
+                )
+                rw, rv, ri = aw[redo], av[redo], oi[redo]
+                adopted[rw, rv, ri] = True
+
+                nw = np.concatenate([aw, rw])
+                if nw.size == 0:
+                    break
+                # Group this round's adoptions by (world, node) — a node
+                # that adopted both items this round spreads them over the
+                # *same* live out-edges, so the live-edge log is queried
+                # once per pair.
+                uw, uv, item_masks = _or_by_pair(
+                    nw,
+                    np.concatenate([av, rv]),
+                    np.left_shift(1, np.concatenate([ai, ri])),
+                    n,
+                )
+                entry, targets = live_log.live_targets(graph, rng, uw, uv)
+                if entry.size == 0:
+                    break
+                event_parts = []
+                spread_mask = item_masks[entry]
+                for item in (ITEM_A, ITEM_B):
+                    carries = (spread_mask >> item) & 1 == 1
+                    w_i = uw[entry[carries]]
+                    t_i = targets[carries]
+                    if w_i.size:
+                        fresh = ~informed[w_i, t_i, item]
+                        w_i, t_i = w_i[fresh], t_i[fresh]
+                    if w_i.size:
+                        event_parts.append((w_i * n + t_i) * 2 + item)
+                if not event_parts:
+                    break
+                key = np.unique(np.concatenate(event_parts))
+                item = key % 2
+                wt = key // 2
+                ew, ev, ei = wt // n, wt % n, item
+            yield adopted
+
+    return run()
 
 
 def batch_simulate_comic(
@@ -367,119 +508,47 @@ def batch_simulate_comic(
     ``λ(v, item) ~ U[0,1)`` realize the GAP automaton (with automatic
     reconsideration in the mutually complementary regime), and live edges
     are pre-sampled per world (the deferred-decision equivalent of the
-    sequential simulator's lazy edge tests).
+    sequential simulator's lazy edge tests).  Keeps every world's
+    bitmaps; :func:`batch_comic_counts` runs the same worlds and keeps one
+    count per world.
     """
-    if not model.is_mutually_complementary():
-        raise ValueError(
-            "batch_simulate_comic implements the mutually complementary "
-            "regime; got a competitive parameterization"
-        )
-    n = graph.num_nodes
-    if num_worlds < 0:
-        raise ValueError(f"num_worlds must be non-negative, got {num_worlds}")
-    adopted_a = np.zeros((num_worlds, n), dtype=bool)
-    adopted_b = np.zeros((num_worlds, n), dtype=bool)
-    seeds = []
-    for item, item_seeds in ((ITEM_A, seeds_a), (ITEM_B, seeds_b)):
-        arr = np.unique(np.asarray(list(item_seeds), dtype=np.int64))
-        if arr.size and (arr[0] < 0 or arr[-1] >= n):
-            raise IndexError(f"seed outside graph of {n} nodes")
-        seeds.append(arr)
-    if num_worlds == 0 or (seeds[0].size == 0 and seeds[1].size == 0):
-        return BatchComICResult(adopted_a, adopted_b)
-
-    # q_table[item, has_other]: the GAP the threshold is compared against.
-    q_table = np.array(
-        [
-            [model.q_a_empty, model.q_a_given_b],
-            [model.q_b_empty, model.q_b_given_a],
-        ],
-        dtype=np.float64,
-    )
-    # Per-world bytes: thresholds (2 float64) + informed/adopted (4 bool) +
-    # the live-edge log's expanded bitmap per node.
-    bytes_per_world = 21 * n
+    chunks = _comic_chunks(graph, model, seeds_a, seeds_b, num_worlds, rng)
+    adopted_a = np.zeros((num_worlds, graph.num_nodes), dtype=bool)
+    adopted_b = np.zeros((num_worlds, graph.num_nodes), dtype=bool)
     done = 0
-    for batch in _world_chunks(num_worlds, bytes_per_world):
-        thresholds = rng.random((batch, n, 2))
-        live_log = _LiveEdgeLog(batch, n)
-        informed = np.zeros((batch, n, 2), dtype=bool)
-        adopted = np.zeros((batch, n, 2), dtype=bool)
-
-        # Initial information events: every seed of every item, every world.
-        parts_w, parts_v, parts_i = [], [], []
-        for item in (ITEM_A, ITEM_B):
-            if seeds[item].size:
-                fw, fn = _seed_frontier(seeds[item], batch)
-                parts_w.append(fw)
-                parts_v.append(fn)
-                parts_i.append(np.full(fw.shape[0], item, dtype=np.int64))
-        ew = np.concatenate(parts_w)
-        ev = np.concatenate(parts_v)
-        ei = np.concatenate(parts_i)
-
-        while ew.size:
-            informed[ew, ev, ei] = True
-            # First wave: the NLA with the *current* other-item state.
-            has_other = adopted[ew, ev, 1 - ei].astype(np.int64)
-            passes = thresholds[ew, ev, ei] <= q_table[ei, has_other]
-            aw, av, ai = ew[passes], ev[passes], ei[passes]
-            adopted[aw, av, ai] = True
-            # Reconsideration: a fresh adoption boosts the other item's GAP;
-            # nodes informed of the other item earlier (or this round) that
-            # suspended it re-run the automaton against q(other | item).
-            oi = 1 - ai
-            redo = (
-                informed[aw, av, oi]
-                & ~adopted[aw, av, oi]
-                & (thresholds[aw, av, oi] <= q_table[oi, 1])
-            )
-            rw, rv, ri = aw[redo], av[redo], oi[redo]
-            adopted[rw, rv, ri] = True
-
-            nw = np.concatenate([aw, rw])
-            nv = np.concatenate([av, rv])
-            ni = np.concatenate([ai, ri])
-            if nw.size == 0:
-                break
-            # Group this round's adoptions by (world, node) — a node that
-            # adopted both items this round spreads them over the *same*
-            # live out-edges, so the live-edge log is queried once per pair.
-            key = nw * n + nv
-            order = np.argsort(key, kind="stable")
-            key_sorted = key[order]
-            bounds = np.concatenate(
-                ([0], np.flatnonzero(key_sorted[1:] != key_sorted[:-1]) + 1)
-            )
-            item_masks = np.bitwise_or.reduceat(
-                np.left_shift(1, ni)[order], bounds
-            )
-            uw = key_sorted[bounds] // n
-            uv = key_sorted[bounds] % n
-            entry, targets = live_log.live_targets(graph, rng, uw, uv)
-            if entry.size == 0:
-                break
-            event_parts = []
-            spread_mask = item_masks[entry]
-            for item in (ITEM_A, ITEM_B):
-                carries = (spread_mask >> item) & 1 == 1
-                w_i = uw[entry[carries]]
-                t_i = targets[carries]
-                if w_i.size:
-                    fresh = ~informed[w_i, t_i, item]
-                    w_i, t_i = w_i[fresh], t_i[fresh]
-                if w_i.size:
-                    event_parts.append((w_i * n + t_i) * 2 + item)
-            if not event_parts:
-                break
-            key = np.unique(np.concatenate(event_parts))
-            item = key % 2
-            wt = key // 2
-            ew, ev, ei = wt // n, wt % n, item
-        adopted_a[done : done + batch] = adopted[:, :, ITEM_A]
-        adopted_b[done : done + batch] = adopted[:, :, ITEM_B]
-        done += batch
+    for adopted in chunks:
+        stop = done + adopted.shape[0]
+        adopted_a[done:stop] = adopted[:, :, ITEM_A]
+        adopted_b[done:stop] = adopted[:, :, ITEM_B]
+        done = stop
     return BatchComICResult(adopted_a, adopted_b)
+
+
+def batch_comic_counts(
+    graph: InfluenceGraph,
+    model: ComICModel,
+    seeds_a: Sequence[int],
+    seeds_b: Sequence[int],
+    item: int,
+    num_worlds: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Per-world int64 adopter counts of ``item`` over Com-IC worlds.
+
+    Runs the worlds of :func:`batch_simulate_comic` (same chunks, same
+    draws, so the counts equal its ``adopter_counts(item)``) but reduces
+    each chunk to one count per world: no per-node state outlives its
+    chunk.
+    """
+    check_item(item)
+    chunks = _comic_chunks(graph, model, seeds_a, seeds_b, num_worlds, rng)
+    counts = np.zeros(num_worlds, dtype=np.int64)
+    done = 0
+    for adopted in chunks:
+        stop = done + adopted.shape[0]
+        counts[done:stop] = adopted[:, :, item].sum(axis=1)
+        done = stop
+    return counts
 
 
 # ----------------------------------------------------------------------
@@ -489,8 +558,9 @@ def batch_simulate_comic(
 class BatchUICResult:
     """Adoption masks and realized welfare of a batch of UIC worlds.
 
-    ``adopted`` is ``(num_worlds, n)`` int64 itemset masks; ``welfare`` is
-    the per-world realized social welfare ``Σ_v U_W(A(v))``.
+    ``adopted`` is ``(num_worlds, n)`` uint8 itemset masks (bit ``i`` set
+    iff the node adopted item ``i``); ``welfare`` is the per-world realized
+    social welfare ``Σ_v U_W(A(v))``.
     """
 
     adopted: np.ndarray
@@ -499,9 +569,27 @@ class BatchUICResult:
     def adopter_counts(self, item: Optional[int] = None) -> np.ndarray:
         """Per-world adoption totals (all (node, item) pairs, or one item)."""
         if item is None:
-            popcount = _popcounts(int(self.adopted.max()) + 1)
-            return popcount[self.adopted].sum(axis=1)
-        return ((self.adopted >> item) & 1).sum(axis=1)
+            return _popcounts(256)[self.adopted].sum(axis=1)
+        return ((self.adopted >> item) & 1).sum(axis=1, dtype=np.int64)
+
+
+@dataclass
+class UICTotals:
+    """Per-world totals of a batch of UIC worlds, without per-node state.
+
+    ``welfare`` is each world's realized social welfare and
+    ``item_counts`` is ``(num_worlds, k)`` int64: how many nodes adopted
+    each item in each world.
+    """
+
+    welfare: np.ndarray
+    item_counts: np.ndarray
+
+    def adopter_counts(self, item: Optional[int] = None) -> np.ndarray:
+        """Per-world adoption totals (all (node, item) pairs, or one item)."""
+        if item is None:
+            return self.item_counts.sum(axis=1)
+        return self.item_counts[:, item]
 
 
 def supports_batched_uic(
@@ -573,7 +661,7 @@ def _decision_tables(tables: np.ndarray) -> np.ndarray:
     """
     num_worlds, size = tables.shape
     popcount = _popcounts(size)
-    decision = np.zeros((num_worlds, size, size), dtype=np.int64)
+    decision = np.zeros((num_worlds, size, size), dtype=np.uint8)
     for desire in range(size):
         for extra_base in iter_subsets(desire):
             adopted = desire & ~extra_base  # adopted ranges over subsets too
@@ -668,6 +756,143 @@ class _LazyTriggerLog:
         return live
 
 
+def _seed_masks(
+    allocation: Iterable[Tuple[int, int]], n: int, k: int
+) -> np.ndarray:
+    """Per-node uint8 itemset masks of a seed allocation, range-checked."""
+    desire0 = np.zeros(n, dtype=np.uint8)
+    for node, item in allocation:
+        node = int(node)
+        if not 0 <= node < n:
+            raise IndexError(f"seed node {node} outside graph")
+        if not 0 <= int(item) < k:
+            raise IndexError(f"item {item} outside universe")
+        desire0[node] |= 1 << int(item)
+    return desire0
+
+
+def _uic_chunks(
+    graph: InfluenceGraph,
+    model: UtilityModel,
+    allocation: Iterable[Tuple[int, int]],
+    num_worlds: int,
+    rng: np.random.Generator,
+    noise_world: Optional[NoiseWorld],
+    triggering: Optional[TriggeringModel],
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Validate a batched UIC run, then return its chunk iterator.
+
+    The iterator simulates the worlds chunk by chunk and yields each
+    chunk's ``(adopted, welfare)``: ``(batch, n)`` uint8 itemset masks and
+    the realized welfare of each world.  Chunk sizes depend on the
+    arguments alone, never on the consumer, so every consumer of the same
+    arguments and stream sees the same worlds.
+    """
+    n = graph.num_nodes
+    k = model.num_items
+    if num_worlds < 0:
+        raise ValueError(f"num_worlds must be non-negative, got {num_worlds}")
+    if not supports_batched_uic(model, triggering):
+        raise ValueError(
+            f"batched UIC needs <= {MAX_BATCH_ITEMS} items and a "
+            "vectorizable triggering model; use the sequential simulator"
+        )
+    size = 1 << k
+    desire0 = _seed_masks(allocation, n, k)
+    seed_nodes = np.flatnonzero(desire0)
+
+    ic_path = triggering is None or isinstance(
+        triggering, IndependentCascadeTriggering
+    )
+    trigger_csr = None if ic_path else build_trigger_csr(graph, triggering)
+    # Per-world bytes: desire+adopted masks (16 per node), the live-edge /
+    # lazy-trigger log's bitmap (1 per node), utility and decision tables
+    # (8 * (size + size^2)).  The lazy trigger log's member segments scale
+    # with the *reached* neighborhood; chunking budgets their worst case
+    # (every trigger set drawn, ~8 bytes per member, <= 8m per world) so a
+    # full-reach cascade still respects _TARGET_BYTES.  The masks and
+    # decision tables are uint8, an eighth of what this counts; the count
+    # stays because it fixes the chunk sizes and with them the order of
+    # draws, which every seeded estimate reproduces.
+    bytes_per_world = 33 * n + 8 * (size + size * size)
+    if not ic_path:
+        bytes_per_world += 8 * graph.num_edges
+
+    def run() -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        for batch in _world_chunks(num_worlds, bytes_per_world):
+            if noise_world is not None:
+                noise_worlds = np.broadcast_to(
+                    np.asarray(noise_world, dtype=np.float64), (batch, k)
+                )
+            else:
+                noise_worlds = model.noise.sample_batch(rng, batch)
+            tables = model.utility_tables(noise_worlds)
+            decision = _decision_tables(tables)
+            if ic_path:
+                live_log = _LiveEdgeLog(batch, n)
+            else:
+                trigger_log = _LazyTriggerLog(batch, n, trigger_csr)
+
+            desire = np.zeros((batch, n), dtype=np.uint8)
+            adopted = np.zeros((batch, n), dtype=np.uint8)
+            # t = 1: seeds desire their allocation and adopt the
+            # utility-maximizing subset (rational users, like everyone
+            # else).
+            if seed_nodes.size:
+                desire[:, seed_nodes] = desire0[seed_nodes][None, :]
+                adopted[:, seed_nodes] = decision[
+                    np.arange(batch)[:, None], desire0[seed_nodes][None, :], 0
+                ]
+                fw, fn = _seed_frontier(seed_nodes, batch)
+                keep = adopted[fw, fn] != 0
+                fw, fn = fw[keep], fn[keep]
+            else:
+                fw = fn = np.empty(0, dtype=np.int64)
+
+            while fw.size:
+                # Gather each frontier node's live out-targets.
+                if ic_path:
+                    entry, t = live_log.live_targets(graph, rng, fw, fn)
+                    if entry.size == 0:
+                        break
+                    w = fw[entry]
+                    src_mask = adopted[fw, fn][entry]
+                else:
+                    # Candidate out-edges of the frontier; each target's
+                    # trigger set is drawn lazily on first contact, then an
+                    # edge is live iff its source is among the drawn
+                    # members.
+                    gathered = _gather_out_edges(graph, fn)
+                    if gathered is None:
+                        break
+                    t, _, degs, _ = gathered
+                    w = np.repeat(fw, degs)
+                    cand_u = np.repeat(fn, degs)
+                    src_mask = np.repeat(adopted[fw, fn], degs)
+                    live = trigger_log.live_mask(rng, w, cand_u, t)
+                    w, t, src_mask = w[live], t[live], src_mask[live]
+                if w.size == 0:
+                    break
+                # OR all incoming masks per touched (world, target) pair.
+                tw, tv, incoming = _or_by_pair(w, t, src_mask, n)
+                new_desire = desire[tw, tv] | incoming
+                grew = new_desire != desire[tw, tv]
+                tw, tv, new_desire = tw[grew], tv[grew], new_desire[grew]
+                if tw.size == 0:
+                    break
+                desire[tw, tv] = new_desire
+                old = adopted[tw, tv]
+                new = decision[tw, new_desire, old]
+                changed = new != old
+                fw, fn = tw[changed], tv[changed]
+                adopted[fw, fn] = new[changed]
+
+            realized = np.take_along_axis(tables, adopted, axis=1)
+            yield adopted, np.where(adopted > 0, realized, 0.0).sum(axis=1)
+
+    return run()
+
+
 def batch_simulate_uic(
     graph: InfluenceGraph,
     model: UtilityModel,
@@ -685,130 +910,60 @@ def batch_simulate_uic(
     per-world outcomes are distributed identically to the sequential
     simulator's.  ``triggering`` follows the §5 extension: ``None`` is the
     IC fast path, anything else must satisfy :func:`supports_batched_uic`.
+    Keeps every world's per-node masks; the estimators call
+    :func:`batch_uic_totals`, which runs the same worlds and keeps totals.
     """
-    n = graph.num_nodes
-    k = model.num_items
-    if num_worlds < 0:
-        raise ValueError(f"num_worlds must be non-negative, got {num_worlds}")
-    if not supports_batched_uic(model, triggering):
-        raise ValueError(
-            f"batched UIC needs <= {MAX_BATCH_ITEMS} items and a "
-            "vectorizable triggering model; use the sequential simulator"
-        )
-    size = 1 << k
-    desire0 = np.zeros(n, dtype=np.int64)
-    for node, item in allocation:
-        node = int(node)
-        if not 0 <= node < n:
-            raise IndexError(f"seed node {node} outside graph")
-        if not 0 <= int(item) < k:
-            raise IndexError(f"item {item} outside universe")
-        desire0[node] |= 1 << int(item)
-    seed_nodes = np.flatnonzero(desire0)
-
-    adopted_out = np.zeros((num_worlds, n), dtype=np.int64)
-    welfare_out = np.zeros(num_worlds, dtype=np.float64)
-    if num_worlds == 0:
-        return BatchUICResult(adopted_out, welfare_out)
-
-    ic_path = triggering is None or isinstance(
-        triggering, IndependentCascadeTriggering
+    chunks = _uic_chunks(
+        graph, model, allocation, num_worlds, rng, noise_world, triggering
     )
-    trigger_csr = None if ic_path else build_trigger_csr(graph, triggering)
-    # Per-world bytes: desire+adopted masks (16 per node), the live-edge /
-    # lazy-trigger log's bitmap (1 per node), utility and decision tables
-    # (8 * (size + size^2)).  The lazy trigger log's member segments scale
-    # with the *reached* neighborhood; chunking budgets their worst case
-    # (every trigger set drawn, ~8 bytes per member, <= 8m per world) so a
-    # full-reach cascade still respects _TARGET_BYTES.
-    bytes_per_world = 33 * n + 8 * (size + size * size)
-    if not ic_path:
-        bytes_per_world += 8 * graph.num_edges
+    adopted = np.zeros((num_worlds, graph.num_nodes), dtype=np.uint8)
+    welfare = np.zeros(num_worlds, dtype=np.float64)
     done = 0
-    while done < num_worlds:
-        batch = next(iter(_world_chunks(num_worlds - done, bytes_per_world)))
-        if noise_world is not None:
-            noise_worlds = np.broadcast_to(
-                np.asarray(noise_world, dtype=np.float64), (batch, k)
-            )
-        else:
-            noise_worlds = model.noise.sample_batch(rng, batch)
-        tables = model.utility_tables(noise_worlds)
-        decision = _decision_tables(tables)
-        if ic_path:
-            live_log = _LiveEdgeLog(batch, n)
-            trigger_log = None
-        else:
-            live_log = None
-            trigger_log = _LazyTriggerLog(batch, n, trigger_csr)
+    for chunk_adopted, chunk_welfare in chunks:
+        stop = done + chunk_welfare.shape[0]
+        adopted[done:stop] = chunk_adopted
+        welfare[done:stop] = chunk_welfare
+        done = stop
+    return BatchUICResult(adopted, welfare)
 
-        desire = np.zeros((batch, n), dtype=np.int64)
-        adopted = np.zeros((batch, n), dtype=np.int64)
-        # t = 1: seeds desire their allocation and adopt the
-        # utility-maximizing subset (rational users, like everyone else).
-        if seed_nodes.size:
-            desire[:, seed_nodes] = desire0[seed_nodes][None, :]
-            adopted[:, seed_nodes] = decision[
-                np.arange(batch)[:, None], desire0[seed_nodes][None, :], 0
-            ]
-            fw, fn = _seed_frontier(seed_nodes, batch)
-            keep = adopted[fw, fn] != 0
-            fw, fn = fw[keep], fn[keep]
-        else:
-            fw = fn = np.empty(0, dtype=np.int64)
 
-        while fw.size:
-            # Gather each frontier node's live out-targets.
-            if ic_path:
-                entry, t = live_log.live_targets(graph, rng, fw, fn)
-                if entry.size == 0:
-                    break
-                w = fw[entry]
-                src_mask = adopted[fw, fn][entry]
-            else:
-                # Candidate out-edges of the frontier; each target's
-                # trigger set is drawn lazily on first contact, then an
-                # edge is live iff its source is among the drawn members.
-                gathered = _gather_out_edges(graph, fn)
-                if gathered is None:
-                    break
-                t, _, degs, _ = gathered
-                w = np.repeat(fw, degs)
-                cand_u = np.repeat(fn, degs)
-                src_mask = np.repeat(adopted[fw, fn], degs)
-                live = trigger_log.live_mask(rng, w, cand_u, t)
-                w, t, src_mask = w[live], t[live], src_mask[live]
-            if w.size == 0:
-                break
-            # OR all incoming masks per touched (world, target) pair.
-            key = w * n + t
-            order = np.argsort(key, kind="stable")
-            key_sorted = key[order]
-            boundaries = np.concatenate(
-                ([0], np.flatnonzero(key_sorted[1:] != key_sorted[:-1]) + 1)
-            )
-            touched_key = key_sorted[boundaries]
-            incoming = np.bitwise_or.reduceat(src_mask[order], boundaries)
-            tw, tv = touched_key // n, touched_key % n
-            new_desire = desire[tw, tv] | incoming
-            grew = new_desire != desire[tw, tv]
-            tw, tv, new_desire = tw[grew], tv[grew], new_desire[grew]
-            if tw.size == 0:
-                break
-            desire[tw, tv] = new_desire
-            old = adopted[tw, tv]
-            new = decision[tw, new_desire, old]
-            changed = new != old
-            fw, fn = tw[changed], tv[changed]
-            adopted[fw, fn] = new[changed]
+def batch_uic_totals(
+    graph: InfluenceGraph,
+    model: UtilityModel,
+    allocation: Iterable[Tuple[int, int]],
+    num_worlds: int,
+    rng: np.random.Generator,
+    noise_world: Optional[NoiseWorld] = None,
+    triggering: Optional[TriggeringModel] = None,
+) -> UICTotals:
+    """Per-world welfare and per-item adopter counts of UIC worlds.
 
-        realized = np.take_along_axis(tables, adopted, axis=1)
-        welfare_out[done : done + batch] = np.where(
-            adopted > 0, realized, 0.0
-        ).sum(axis=1)
-        adopted_out[done : done + batch] = adopted
-        done += batch
-    return BatchUICResult(adopted_out, welfare_out)
+    Runs the worlds of :func:`batch_simulate_uic` (same chunks, same
+    draws, so the totals equal its ``welfare`` and ``adopter_counts``) but
+    reduces each chunk to ``k + 1`` numbers per world before the next
+    chunk runs: no per-node state outlives its chunk.  A
+    ``diffusion.batch_uic`` span records ``chunks`` and
+    ``worlds_per_chunk``.
+    """
+    chunks = _uic_chunks(
+        graph, model, allocation, num_worlds, rng, noise_world, triggering
+    )
+    k = model.num_items
+    welfare = np.zeros(num_worlds, dtype=np.float64)
+    item_counts = np.zeros((num_worlds, k), dtype=np.int64)
+    done = num_chunks = worlds_per_chunk = 0
+    with obs.span("diffusion.batch_uic", worlds=int(num_worlds)) as span:
+        for adopted, chunk_welfare in chunks:
+            stop = done + chunk_welfare.shape[0]
+            welfare[done:stop] = chunk_welfare
+            for item in range(k):
+                holds = (adopted >> item) & 1
+                item_counts[done:stop, item] = holds.sum(axis=1)
+            num_chunks += 1
+            worlds_per_chunk = max(worlds_per_chunk, stop - done)
+            done = stop
+        span.set(chunks=num_chunks, worlds_per_chunk=worlds_per_chunk)
+    return UICTotals(welfare, item_counts)
 
 
 class _PersonalTables:
@@ -832,7 +987,7 @@ class _PersonalTables:
         self._model = model
         self._row = np.full((batch, n), -1, dtype=np.int64)
         self._tables = np.empty((16, size), dtype=np.float64)
-        self._decision = np.empty((16, size, size), dtype=np.int64)
+        self._decision = np.empty((16, size, size), dtype=np.uint8)
         self._used = 0
 
     def ensure(
@@ -856,7 +1011,7 @@ class _PersonalTables:
             grown_t[: self._used] = self._tables[: self._used]
             self._tables = grown_t
             grown_d = np.empty(
-                (cap,) + self._decision.shape[1:], dtype=np.int64
+                (cap,) + self._decision.shape[1:], dtype=np.uint8
             )
             grown_d[: self._used] = self._decision[: self._used]
             self._decision = grown_d
@@ -913,14 +1068,7 @@ def batch_simulate_uic_personalized(
             f"batched personalized UIC needs <= {MAX_BATCH_ITEMS} items; "
             "use the sequential simulator"
         )
-    desire0 = np.zeros(n, dtype=np.int64)
-    for node, item in allocation:
-        node = int(node)
-        if not 0 <= node < n:
-            raise IndexError(f"seed node {node} outside graph")
-        if not 0 <= int(item) < k:
-            raise IndexError(f"item {item} outside universe")
-        desire0[node] |= 1 << int(item)
+    desire0 = _seed_masks(allocation, n, k)
     seed_nodes = np.flatnonzero(desire0)
 
     welfare_out = np.zeros(num_worlds, dtype=np.float64)
@@ -935,7 +1083,9 @@ def batch_simulate_uic_personalized(
     # ``_TARGET_BYTES``.  Large item universes therefore shrink the chunk
     # (k = 2, the paper's personalized setting, still batches hundreds of
     # worlds); the tables array itself grows on demand, so light-reach
-    # cascades never actually allocate the worst case.
+    # cascades never actually allocate the worst case.  The masks and
+    # decision tables are uint8, but the count keeps 8 bytes for them: it
+    # fixes the chunk sizes and with them the order of draws.
     size = 1 << k
     bytes_per_world = (25 + 8 * (size + size * size)) * n
     done = 0
@@ -943,14 +1093,14 @@ def batch_simulate_uic_personalized(
         batch = next(iter(_world_chunks(num_worlds - done, bytes_per_world)))
         live_log = _LiveEdgeLog(batch, n)
         personal = _PersonalTables(model, batch, n)
-        desire = np.zeros((batch, n), dtype=np.int64)
-        adopted = np.zeros((batch, n), dtype=np.int64)
+        desire = np.zeros((batch, n), dtype=np.uint8)
+        adopted = np.zeros((batch, n), dtype=np.uint8)
 
         fw, fn = _seed_frontier(seed_nodes, batch)
         desire[fw, fn] = desire0[fn]
         personal.ensure(rng, fw, fn)
         adopted[fw, fn] = personal.decide(
-            fw, fn, desire0[fn], np.zeros(fw.shape[0], dtype=np.int64)
+            fw, fn, desire0[fn], np.zeros(fw.shape[0], dtype=np.uint8)
         )
         keep = adopted[fw, fn] != 0
         fw, fn = fw[keep], fn[keep]
@@ -959,17 +1109,9 @@ def batch_simulate_uic_personalized(
             entry, t = live_log.live_targets(graph, rng, fw, fn)
             if entry.size == 0:
                 break
-            w = fw[entry]
-            src_mask = adopted[fw, fn][entry]
-            key = w * n + t
-            order = np.argsort(key, kind="stable")
-            key_sorted = key[order]
-            boundaries = np.concatenate(
-                ([0], np.flatnonzero(key_sorted[1:] != key_sorted[:-1]) + 1)
+            tw, tv, incoming = _or_by_pair(
+                fw[entry], t, adopted[fw, fn][entry], n
             )
-            touched_key = key_sorted[boundaries]
-            incoming = np.bitwise_or.reduceat(src_mask[order], boundaries)
-            tw, tv = touched_key // n, touched_key % n
             new_desire = desire[tw, tv] | incoming
             grew = new_desire != desire[tw, tv]
             tw, tv, new_desire = tw[grew], tv[grew], new_desire[grew]

@@ -32,6 +32,12 @@ from repro.graph.digraph import InfluenceGraph
 ITEM_A, ITEM_B = 0, 1
 
 
+def check_item(item: int) -> None:
+    """Raise ``ValueError`` unless ``item`` is Com-IC's item A or B."""
+    if item not in (ITEM_A, ITEM_B):
+        raise ValueError(f"Com-IC supports items 0 and 1, got {item}")
+
+
 @dataclass(frozen=True)
 class ComICModel:
     """GAP parameters of a two-item Com-IC instance."""
@@ -185,17 +191,18 @@ def estimate_comic_spread(
     The context's backend picks the forward engine: ``sequential`` — one
     :func:`simulate_comic` per world, the historical byte-identical path
     when handed a ``Generator`` —, ``batched`` —
-    :func:`repro.diffusion.batch_forward.batch_simulate_comic`, all worlds
+    :func:`repro.diffusion.batch_forward.batch_comic_counts`, all worlds
     at once —, or ``parallel`` — the worlds sharded over the persistent
     worker pool, each shard a batched run seeded from its own
     ``SeedSequence`` child.  The removed legacy ``backend=`` keyword
     raises ``TypeError``.
     """
-    from repro.diffusion.batch_forward import batch_simulate_comic
+    from repro.diffusion.batch_forward import batch_comic_counts
     from repro.engine import ensure_context
 
     if num_samples <= 0:
         raise ValueError(f"num_samples must be positive, got {num_samples}")
+    check_item(item)
     ctx = ensure_context(
         ctx, backend=backend, rng=rng, caller="estimate_comic_spread"
     )
@@ -217,10 +224,11 @@ def estimate_comic_spread(
         )
         return float(values.mean())
     if ctx.is_batched:
-        result = batch_simulate_comic(
-            graph, model, seeds_a, seeds_b, num_samples, ctx.rng
+        return float(
+            batch_comic_counts(
+                graph, model, seeds_a, seeds_b, item, num_samples, ctx.rng
+            ).mean()
         )
-        return float(result.adopter_counts(item).mean())
     world_rngs = (
         ctx.spawn_generators(num_samples) if ctx.has_lineage else None
     )

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro import obs
 from repro.diffusion.batch_forward import (
-    batch_simulate_uic,
+    batch_uic_totals,
     supports_batched_uic,
     warn_uic_item_cap_fallback,
 )
@@ -95,7 +95,7 @@ def estimate_welfare(
     worlds over the shared-memory worker pool (:mod:`repro.parallel`) when
     the context carries a seed lineage, and otherwise degrades to batched
     with a warning.  The batched engine advances all worlds
-    at once (:func:`repro.diffusion.batch_forward.batch_simulate_uic`)
+    at once (:func:`repro.diffusion.batch_forward.batch_uic_totals`)
     whenever the (model, triggering) pair is vectorizable — at most
     :data:`~repro.diffusion.batch_forward.MAX_BATCH_ITEMS` items, and a
     triggering model with an explicit trigger distribution (IC/LT/any
@@ -145,7 +145,7 @@ def estimate_welfare(
                 triggering=trig_model,
             )
         elif batched and supported:
-            values = batch_simulate_uic(
+            values = batch_uic_totals(
                 graph,
                 model,
                 allocation,
@@ -203,6 +203,10 @@ def estimate_adoption(
     """
     if num_samples <= 0:
         raise ValueError(f"num_samples must be positive, got {num_samples}")
+    if item is not None and not 0 <= item < model.num_items:
+        raise ValueError(
+            f"item {item} outside the model's {model.num_items} items"
+        )
     ctx = ensure_context(
         ctx, backend=backend, rng=rng, caller="estimate_adoption"
     )
@@ -232,10 +236,10 @@ def estimate_adoption(
                 (model, allocation, item),
             )
         elif batched and supported:
-            result = batch_simulate_uic(
+            totals = batch_uic_totals(
                 graph, model, allocation, num_samples, ctx.rng
             )
-            values = result.adopter_counts(item).astype(np.float64)
+            values = totals.adopter_counts(item).astype(np.float64)
         else:
             world_rngs = (
                 ctx.spawn_generators(num_samples) if ctx.has_lineage else None

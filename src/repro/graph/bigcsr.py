@@ -543,8 +543,10 @@ def load_graph(
         )
     _GRAPH_FILE_BYTES.inc(mapped, op="mmap" if mmap else "read")
     _check_csr(path, n, arrays)
+    # Plain ndarray views of the maps: fancy indexing on an ``np.memmap``
+    # subclass pays ``memmap.__getitem__`` on every call of the samplers.
     graph = InfluenceGraph.from_csr(
-        n, *(arrays[name] for name in GRAPH_ARRAY_NAMES)
+        n, *(arrays[name].view(np.ndarray) for name in GRAPH_ARRAY_NAMES)
     )
     if verify:
         actual = graph_fingerprint(graph)

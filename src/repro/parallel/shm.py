@@ -179,7 +179,7 @@ def attach_graph(
                 mode="r",
                 offset=offset,
                 shape=tuple(shape),
-            )
+            ).view(np.ndarray)
             for offset, dtype, shape in spec["graph"]
         ]
         return (

@@ -68,9 +68,9 @@ def uic_welfare_shard(
     triggering,
 ) -> np.ndarray:
     """Per-world welfare of ``count`` UIC worlds (batched kernels)."""
-    from repro.diffusion.batch_forward import batch_simulate_uic
+    from repro.diffusion.batch_forward import batch_uic_totals
 
-    return batch_simulate_uic(
+    return batch_uic_totals(
         graph,
         model,
         list(allocation),
@@ -91,16 +91,16 @@ def uic_adoption_shard(
     item,
 ) -> np.ndarray:
     """Per-world adoption counts of ``count`` UIC worlds."""
-    from repro.diffusion.batch_forward import batch_simulate_uic
+    from repro.diffusion.batch_forward import batch_uic_totals
 
-    result = batch_simulate_uic(
+    totals = batch_uic_totals(
         graph,
         model,
         list(allocation),
         count,
         np.random.default_rng(seed_seq),
     )
-    return result.adopter_counts(item).astype(np.float64)
+    return totals.adopter_counts(item).astype(np.float64)
 
 
 def comic_spread_shard(
@@ -114,17 +114,17 @@ def comic_spread_shard(
     item,
 ) -> np.ndarray:
     """Per-world adopter counts of ``count`` Com-IC worlds."""
-    from repro.diffusion.batch_forward import batch_simulate_comic
+    from repro.diffusion.batch_forward import batch_comic_counts
 
-    result = batch_simulate_comic(
+    return batch_comic_counts(
         graph,
         model,
         seeds_a,
         seeds_b,
+        item,
         count,
         np.random.default_rng(seed_seq),
-    )
-    return result.adopter_counts(item).astype(np.float64)
+    ).astype(np.float64)
 
 
 def personalized_welfare_shard(

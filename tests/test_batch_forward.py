@@ -9,18 +9,23 @@ vectorized order, so agreement is *exact* on deterministic instances and
 the Monte-Carlo noise so the pins hold across numpy versions.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.baselines._comic_common import _forward_adopter_worlds, _GapSampler
+from repro.diffusion import batch_forward
 from repro.diffusion.adoption import adopt
 from repro.diffusion.batch_forward import (
     MAX_BATCH_ITEMS,
     _decision_tables,
     as_generator,
+    batch_comic_counts,
     batch_simulate_comic,
     batch_simulate_ic,
     batch_simulate_uic,
+    batch_uic_totals,
     spawn_world_rngs,
     supports_batched_uic,
 )
@@ -30,6 +35,7 @@ from repro.diffusion.comic import (
     simulate_comic,
 )
 from repro.diffusion.ic import estimate_spread
+from repro.diffusion.personalized import estimate_welfare_personalized
 from repro.diffusion.triggering import (
     AttentionICTriggering,
     DistributionTriggering,
@@ -42,6 +48,7 @@ from repro.diffusion.triggering import (
 from repro.diffusion.uic import simulate_uic
 from repro.diffusion.welfare import estimate_adoption, estimate_welfare
 from repro.engine import EngineContext
+from repro.experiments.configs import multi_item_config
 from repro.graph.digraph import InfluenceGraph
 from repro.graph.generators import line_graph, random_wc_graph, star_graph
 from repro.rrset.batch import supports_batched
@@ -737,3 +744,109 @@ class TestForwardAdopterWorlds:
         sampler.set_worlds(np.zeros((0, 400), dtype=bool))
         members, lengths = sampler.sample(8)
         assert lengths.shape == (8,)
+
+
+def _config6_instance(num_nodes, seed):
+    """Config 6's five items (budgets 26/26/26/20/2) on a WC graph."""
+    config, budgets = multi_item_config(6, 5, 100, seed=0)
+    alloc = [(v, i) for i, b in enumerate(budgets) for v in range(b)]
+    return random_wc_graph(num_nodes, 6, seed=seed), config.model, alloc
+
+
+class TestForwardTotals:
+    """The estimators keep per-world totals, never per-node state."""
+
+    @pytest.mark.parametrize("estimator", [estimate_welfare, estimate_adoption])
+    def test_peak_memory_below_one_int64_matrix(self, estimator):
+        graph, model, alloc = _config6_instance(2000, 3)
+        worlds = 8000
+        tracemalloc.start()
+        try:
+            estimator(
+                graph, model, alloc, num_samples=worlds,
+                ctx=EngineContext.create(seed=1),
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < worlds * graph.num_nodes * 8
+
+    # One world per chunk, then a few worlds per chunk with a short last
+    # chunk: the totals must not depend on where the boundaries fall.
+    @pytest.mark.parametrize("target_bytes", [1, 100_000])
+    def test_uic_totals_equal_masks_across_chunks(
+        self, monkeypatch, target_bytes
+    ):
+        monkeypatch.setattr(batch_forward, "_TARGET_BYTES", target_bytes)
+        graph, model, alloc = _config6_instance(300, 7)
+        totals = batch_uic_totals(
+            graph, model, alloc, 42, EngineContext.create(seed=5).rng
+        )
+        masks = batch_simulate_uic(
+            graph, model, alloc, 42, EngineContext.create(seed=5).rng
+        )
+        assert np.array_equal(totals.welfare, masks.welfare)
+        for item in [None, *range(model.num_items)]:
+            assert np.array_equal(
+                totals.adopter_counts(item), masks.adopter_counts(item)
+            )
+
+    @pytest.mark.parametrize("target_bytes", [1, 100_000])
+    def test_comic_counts_equal_bitmaps_across_chunks(
+        self, monkeypatch, target_bytes
+    ):
+        monkeypatch.setattr(batch_forward, "_TARGET_BYTES", target_bytes)
+        graph = random_wc_graph(300, 6, seed=7)
+        for item in (0, 1):
+            counts = batch_comic_counts(
+                graph, GAP, range(10), range(5, 20), item, 42,
+                EngineContext.create(seed=5).rng,
+            )
+            bitmaps = batch_simulate_comic(
+                graph, GAP, range(10), range(5, 20), 42,
+                EngineContext.create(seed=5).rng,
+            )
+            assert np.array_equal(counts, bitmaps.adopter_counts(item))
+
+
+class TestEmptyGraph:
+    @pytest.mark.parametrize("backend", ["sequential", "batched"])
+    def test_estimators_return_zero(self, backend, two_item_model):
+        graph = InfluenceGraph(0, [])
+        welfare = estimate_welfare(
+            graph, two_item_model, [], num_samples=3, ctx=_ctx(backend, 0)
+        )
+        assert welfare.mean == 0.0
+        adoption = estimate_adoption(
+            graph, two_item_model, [], num_samples=3, ctx=_ctx(backend, 0)
+        )
+        assert adoption.mean == 0.0
+        assert estimate_welfare_personalized(
+            graph, two_item_model, [], num_samples=3, ctx=_ctx(backend, 0)
+        ) == 0.0
+        assert estimate_comic_spread(
+            graph, GAP, [], [], item=0, num_samples=3, ctx=_ctx(backend, 0)
+        ) == 0.0
+
+
+class TestItemValidation:
+    """An unknown item fails before any world runs, on every backend."""
+
+    @pytest.mark.parametrize("backend", ["sequential", "batched", "parallel"])
+    def test_comic_spread_rejects_item_2(self, wc400, backend):
+        with pytest.raises(ValueError, match="items 0 and 1"):
+            estimate_comic_spread(
+                wc400, GAP, [1], [2], item=2, num_samples=4,
+                ctx=_ctx(backend, 0),
+            )
+
+    @pytest.mark.parametrize("backend", ["sequential", "batched", "parallel"])
+    @pytest.mark.parametrize("item", [-1, 2])
+    def test_adoption_rejects_item_outside_model(
+        self, wc400, two_item_model, backend, item
+    ):
+        with pytest.raises(ValueError, match="outside the model"):
+            estimate_adoption(
+                wc400, two_item_model, [(0, 0)], num_samples=4, item=item,
+                ctx=_ctx(backend, 0),
+            )

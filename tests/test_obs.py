@@ -285,6 +285,39 @@ class TestByteIdentity:
         assert untraced.stderr == baseline.stderr
 
 
+class TestForwardChunkSpan:
+    def test_batched_estimators_record_their_chunking(
+        self, graph, config1_model, monkeypatch
+    ):
+        """The totals path shows how many chunks a forward estimate ran."""
+        from repro.diffusion import batch_forward
+        from repro.diffusion.welfare import estimate_adoption
+
+        monkeypatch.setattr(batch_forward, "_TARGET_BYTES", 1 << 16)
+        obs.enable_tracing()
+        obs.clear_finished()
+        for estimator in (estimate_welfare, estimate_adoption):
+            estimator(
+                graph,
+                config1_model,
+                [(0, 0), (1, 1)],
+                num_samples=40,
+                ctx=EngineContext.create(seed=3),
+            )
+        roots = obs.finished_roots()
+        assert [r.name for r in roots] == [
+            "diffusion.welfare", "diffusion.adoption",
+        ]
+        for root in roots:
+            (chunked,) = root.children
+            assert chunked.name == "diffusion.batch_uic"
+            attrs = chunked.attrs
+            assert attrs["worlds"] == 40
+            assert attrs["chunks"] >= 3
+            assert 1 < attrs["worlds_per_chunk"] < 40
+            assert attrs["chunks"] == -(-40 // attrs["worlds_per_chunk"])
+
+
 class TestPooledSpanTree:
     def test_every_shard_attributed_with_wall_clock(
         self, graph, config1_model
