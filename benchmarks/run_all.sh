@@ -4,7 +4,7 @@
 #
 # Usage (from the repository root or from benchmarks/):
 #
-#     benchmarks/run_all.sh            # the seven JSON-writing benches
+#     benchmarks/run_all.sh            # the eight JSON-writing benches
 #     benchmarks/run_all.sh --all      # every bench_*.py (slow)
 #
 # Scale/gate knobs pass through the environment, same as pytest runs:
@@ -28,6 +28,7 @@ JSON_BENCHES=(
     bench_comic_store.py
     bench_parallel_forward.py
     bench_oracle_serving.py
+    bench_graph_scale.py
 )
 
 if [ "${1:-}" = "--all" ]; then

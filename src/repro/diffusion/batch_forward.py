@@ -44,7 +44,8 @@ state is a set of flat ``(worlds, n)`` arrays:
 (bitmaps, thresholds, live-edge flags) stays within ``_TARGET_BYTES``;
 arbitrarily many worlds stream through a fixed working set, mirroring the
 chunked visited bitmap of the batched RR sampler.  The estimators read only
-per-world totals (:func:`batch_uic_totals`, :func:`batch_comic_counts`), so
+per-world totals (:func:`batch_uic_welfare`, :func:`batch_uic_counts`,
+:func:`batch_comic_counts`), so
 no per-node state outlives its chunk; :func:`batch_simulate_uic` and
 :func:`batch_simulate_comic` keep every world's per-node state for the
 tests and the GAP sampler.
@@ -67,7 +68,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -568,28 +569,7 @@ class BatchUICResult:
 
     def adopter_counts(self, item: Optional[int] = None) -> np.ndarray:
         """Per-world adoption totals (all (node, item) pairs, or one item)."""
-        if item is None:
-            return _popcounts(256)[self.adopted].sum(axis=1)
-        return ((self.adopted >> item) & 1).sum(axis=1, dtype=np.int64)
-
-
-@dataclass
-class UICTotals:
-    """Per-world totals of a batch of UIC worlds, without per-node state.
-
-    ``welfare`` is each world's realized social welfare and
-    ``item_counts`` is ``(num_worlds, k)`` int64: how many nodes adopted
-    each item in each world.
-    """
-
-    welfare: np.ndarray
-    item_counts: np.ndarray
-
-    def adopter_counts(self, item: Optional[int] = None) -> np.ndarray:
-        """Per-world adoption totals (all (node, item) pairs, or one item)."""
-        if item is None:
-            return self.item_counts.sum(axis=1)
-        return self.item_counts[:, item]
+        return _adoption_table(item)[self.adopted].sum(axis=1)
 
 
 def supports_batched_uic(
@@ -644,6 +624,13 @@ def _popcounts(size: int) -> np.ndarray:
         counts += masks & 1
         masks >>= 1
     return counts
+
+
+def _adoption_table(item: Optional[int]) -> np.ndarray:
+    """Adoptions each uint8 itemset mask counts: all items, or ``item``'s."""
+    if item is None:
+        return _popcounts(256)
+    return (np.arange(256, dtype=np.int64) >> item) & 1
 
 
 def _decision_tables(tables: np.ndarray) -> np.ndarray:
@@ -911,7 +898,8 @@ def batch_simulate_uic(
     simulator's.  ``triggering`` follows the §5 extension: ``None`` is the
     IC fast path, anything else must satisfy :func:`supports_batched_uic`.
     Keeps every world's per-node masks; the estimators call
-    :func:`batch_uic_totals`, which runs the same worlds and keeps totals.
+    :func:`batch_uic_welfare` or :func:`batch_uic_counts`, which run the
+    same worlds and keep one number per world.
     """
     chunks = _uic_chunks(
         graph, model, allocation, num_worlds, rng, noise_world, triggering
@@ -927,7 +915,27 @@ def batch_simulate_uic(
     return BatchUICResult(adopted, welfare)
 
 
-def batch_uic_totals(
+def _uic_per_world(
+    chunks: Iterator[Tuple[np.ndarray, np.ndarray]],
+    num_worlds: int,
+    reduce: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Concatenate ``reduce(adopted, welfare)`` over the chunks of UIC worlds.
+
+    Each chunk shrinks to one value per world before the next one runs,
+    so no per-node state outlives its chunk.  A ``diffusion.batch_uic``
+    span records ``chunks`` and ``worlds_per_chunk``.
+    """
+    with obs.span("diffusion.batch_uic", worlds=int(num_worlds)) as span:
+        parts = [reduce(adopted, welfare) for adopted, welfare in chunks]
+        span.set(
+            chunks=len(parts),
+            worlds_per_chunk=max((p.shape[0] for p in parts), default=0),
+        )
+    return np.concatenate(parts) if parts else np.zeros(0)
+
+
+def batch_uic_welfare(
     graph: InfluenceGraph,
     model: UtilityModel,
     allocation: Iterable[Tuple[int, int]],
@@ -935,35 +943,38 @@ def batch_uic_totals(
     rng: np.random.Generator,
     noise_world: Optional[NoiseWorld] = None,
     triggering: Optional[TriggeringModel] = None,
-) -> UICTotals:
-    """Per-world welfare and per-item adopter counts of UIC worlds.
+) -> np.ndarray:
+    """Per-world realized welfare of UIC worlds.
 
     Runs the worlds of :func:`batch_simulate_uic` (same chunks, same
-    draws, so the totals equal its ``welfare`` and ``adopter_counts``) but
-    reduces each chunk to ``k + 1`` numbers per world before the next
-    chunk runs: no per-node state outlives its chunk.  A
-    ``diffusion.batch_uic`` span records ``chunks`` and
-    ``worlds_per_chunk``.
+    draws, so the values equal its ``welfare``) and keeps nothing else.
     """
     chunks = _uic_chunks(
         graph, model, allocation, num_worlds, rng, noise_world, triggering
     )
-    k = model.num_items
-    welfare = np.zeros(num_worlds, dtype=np.float64)
-    item_counts = np.zeros((num_worlds, k), dtype=np.int64)
-    done = num_chunks = worlds_per_chunk = 0
-    with obs.span("diffusion.batch_uic", worlds=int(num_worlds)) as span:
-        for adopted, chunk_welfare in chunks:
-            stop = done + chunk_welfare.shape[0]
-            welfare[done:stop] = chunk_welfare
-            for item in range(k):
-                holds = (adopted >> item) & 1
-                item_counts[done:stop, item] = holds.sum(axis=1)
-            num_chunks += 1
-            worlds_per_chunk = max(worlds_per_chunk, stop - done)
-            done = stop
-        span.set(chunks=num_chunks, worlds_per_chunk=worlds_per_chunk)
-    return UICTotals(welfare, item_counts)
+    return _uic_per_world(chunks, num_worlds, lambda _, welfare: welfare)
+
+
+def batch_uic_counts(
+    graph: InfluenceGraph,
+    model: UtilityModel,
+    allocation: Iterable[Tuple[int, int]],
+    item: Optional[int],
+    num_worlds: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Per-world int64 adopter counts of ``item`` (every item if ``None``).
+
+    Runs the worlds of :func:`batch_simulate_uic` (same chunks, same
+    draws, so the counts equal its ``adopter_counts(item)``).
+    """
+    if item is not None and not 0 <= item < model.num_items:
+        raise ValueError(f"item {item} outside the model's {model.num_items} items")
+    table = _adoption_table(item)
+    chunks = _uic_chunks(graph, model, allocation, num_worlds, rng, None, None)
+    return _uic_per_world(
+        chunks, num_worlds, lambda adopted, _: table[adopted].sum(axis=1)
+    )
 
 
 class _PersonalTables:

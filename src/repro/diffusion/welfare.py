@@ -27,7 +27,8 @@ import numpy as np
 
 from repro import obs
 from repro.diffusion.batch_forward import (
-    batch_uic_totals,
+    batch_uic_counts,
+    batch_uic_welfare,
     supports_batched_uic,
     warn_uic_item_cap_fallback,
 )
@@ -95,7 +96,7 @@ def estimate_welfare(
     worlds over the shared-memory worker pool (:mod:`repro.parallel`) when
     the context carries a seed lineage, and otherwise degrades to batched
     with a warning.  The batched engine advances all worlds
-    at once (:func:`repro.diffusion.batch_forward.batch_uic_totals`)
+    at once (:func:`repro.diffusion.batch_forward.batch_uic_welfare`)
     whenever the (model, triggering) pair is vectorizable — at most
     :data:`~repro.diffusion.batch_forward.MAX_BATCH_ITEMS` items, and a
     triggering model with an explicit trigger distribution (IC/LT/any
@@ -145,7 +146,7 @@ def estimate_welfare(
                 triggering=trig_model,
             )
         elif batched and supported:
-            values = batch_uic_totals(
+            values = batch_uic_welfare(
                 graph,
                 model,
                 allocation,
@@ -153,7 +154,7 @@ def estimate_welfare(
                 ctx.rng,
                 noise_world=noise_world,
                 triggering=trig_model,
-            ).welfare
+            )
         else:
             world_rngs = (
                 ctx.spawn_generators(num_samples) if ctx.has_lineage else None
@@ -236,10 +237,9 @@ def estimate_adoption(
                 (model, allocation, item),
             )
         elif batched and supported:
-            totals = batch_uic_totals(
-                graph, model, allocation, num_samples, ctx.rng
-            )
-            values = totals.adopter_counts(item).astype(np.float64)
+            values = batch_uic_counts(
+                graph, model, allocation, item, num_samples, ctx.rng
+            ).astype(np.float64)
         else:
             world_rngs = (
                 ctx.spawn_generators(num_samples) if ctx.has_lineage else None

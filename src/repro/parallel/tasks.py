@@ -68,9 +68,9 @@ def uic_welfare_shard(
     triggering,
 ) -> np.ndarray:
     """Per-world welfare of ``count`` UIC worlds (batched kernels)."""
-    from repro.diffusion.batch_forward import batch_uic_totals
+    from repro.diffusion.batch_forward import batch_uic_welfare
 
-    return batch_uic_totals(
+    return batch_uic_welfare(
         graph,
         model,
         list(allocation),
@@ -78,7 +78,7 @@ def uic_welfare_shard(
         np.random.default_rng(seed_seq),
         noise_world=noise_world,
         triggering=triggering,
-    ).welfare
+    )
 
 
 def uic_adoption_shard(
@@ -91,16 +91,16 @@ def uic_adoption_shard(
     item,
 ) -> np.ndarray:
     """Per-world adoption counts of ``count`` UIC worlds."""
-    from repro.diffusion.batch_forward import batch_uic_totals
+    from repro.diffusion.batch_forward import batch_uic_counts
 
-    totals = batch_uic_totals(
+    return batch_uic_counts(
         graph,
         model,
         list(allocation),
+        item,
         count,
         np.random.default_rng(seed_seq),
-    )
-    return totals.adopter_counts(item).astype(np.float64)
+    ).astype(np.float64)
 
 
 def comic_spread_shard(

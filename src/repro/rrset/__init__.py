@@ -6,10 +6,11 @@ max-coverage ``NodeSelection`` procedure (:mod:`repro.rrset.node_selection`),
 the IMM algorithm of Tang et al. with the Chen-2018 regeneration fix
 (:mod:`repro.rrset.imm`), its prefix-preserving multi-budget extension PRIMA —
 Algorithm 2 of the paper (:mod:`repro.rrset.prima`) — SKIM's bottom-k
-sketches (:mod:`repro.rrset.skim`), the classic CELF Monte-Carlo greedy
-(:mod:`repro.rrset.greedy_mc`) and the prefix-preserving influence oracle
-(:mod:`repro.rrset.oracle`).  TIM's KPT/θ phases live with the Com-IC
-baselines that use them (:mod:`repro.baselines._comic_common`).
+sketches (:mod:`repro.rrset.skim`) and the classic CELF Monte-Carlo greedy
+(:mod:`repro.rrset.greedy_mc`).  TIM's KPT/θ phases live with the Com-IC
+baselines that use them (:mod:`repro.baselines._comic_common`); the
+influence oracle built on PRIMA's prefix-preserving order lives in
+:mod:`repro.store`.
 """
 
 from repro.rrset.batch import (
@@ -26,7 +27,6 @@ from repro.rrset.greedy_mc import GreedyMCResult, greedy_mc
 from repro.rrset.imm import IMMResult, imm
 from repro.rrset.node_selection import greedy_max_coverage, node_selection
 from repro.rrset.prima import PRIMAResult, prima
-from repro.rrset.oracle import InfluenceOracle
 from repro.rrset.rrgen import RRCollection, generate_rr_set
 from repro.rrset.skim import SKIMResult, skim
 
@@ -35,7 +35,6 @@ __all__ = [
     "BACKENDS",
     "GreedyMCResult",
     "IMMResult",
-    "InfluenceOracle",
     "PRIMAResult",
     "RRCollection",
     "SKIMResult",

@@ -11,9 +11,12 @@ artifact plus a cheap online query phase:
   graph-fingerprint + engine-metadata header with versioned load and
   stale-store detection.
 * :func:`~repro.store.builder.build_store` /
-  :func:`~repro.store.builder.build_sharded` — offline construction, the
-  latter fanning RR generation across a process pool with per-shard
-  ``SeedSequence`` children.
+  :func:`~repro.store.builder.build_sharded` — offline construction (PRIMA
+  with the full budget vector, then an independent estimation
+  collection), the latter fanning RR generation across a process pool
+  with per-shard ``SeedSequence`` children.  Every builder snapshots a
+  live collection through
+  :meth:`~repro.store.sketch_store.SketchStore.from_collection`.
 * :func:`~repro.store.builder.build_comic_store` — offline construction of
   GAP-aware Com-IC sketches (format v2): the RR-SIM+/RR-CIM pipeline's
   θ-phase collection plus the forward-world bitmap and world cursor, so
@@ -21,9 +24,9 @@ artifact plus a cheap online query phase:
 * :func:`~repro.store.builder.extend_store` — incremental θ-extension: a
   loaded store grows more RR sets through the batched sampler (append to
   CSR + incremental inverted-index merge) instead of regenerating.
-* :class:`~repro.store.service.OracleService` — the online query layer:
+* :class:`~repro.store.service.OracleService` — the one influence oracle:
   seed-prefix, spread-estimation and bundleGRD-allocation queries against a
-  loaded (typically memory-mapped) store.
+  built (in-memory) or loaded (typically memory-mapped) store.
 
 Exposed on the command line as ``repro oracle build|extend|query``.
 """

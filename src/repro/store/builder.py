@@ -1,19 +1,22 @@
 """Offline store construction: single-stream, sharded-parallel, incremental.
 
-Entry points, one output type:
+Entry points, one output type, one way to make it: every builder ends in
+:meth:`~repro.store.sketch_store.SketchStore.from_collection` over a live
+:class:`~repro.rrset.rrgen.RRCollection`, which supplies the CSR arrays,
+inverted index, cover counts and RNG state.
 
-* :func:`build_store` — the reference PRIMA path: run the same
-  preprocessing an in-memory :class:`~repro.rrset.oracle.InfluenceOracle`
-  performs (PRIMA with the full budget vector, then an independent
-  estimation collection) and snapshot it.  For a fixed seed the persisted
-  seed order and estimator arrays are byte-identical to the in-memory
-  oracle's — the golden contract the serving tests pin.
+* :func:`build_store` — the reference PRIMA path: PRIMA with the full
+  budget vector, then an independent estimation collection, both drawn
+  from one context stream.  For a fixed seed the persisted seed order and
+  estimator arrays are byte-identical to running those two steps in
+  memory — the golden contract the serving tests pin.
 * :func:`build_sharded` — index construction on all cores: the estimation
   collection is split into shards, each sampled by a process-pool worker
-  from its own ``SeedSequence`` child, then merged into one flat CSR with a
-  single bulk inverted-index build.  Shard results depend only on
-  ``(seed, shard_id)``, so the merged store is bit-identical whatever the
-  process count (including in-process execution with ``processes=0``).
+  from its own ``SeedSequence`` child, then appended in shard order to one
+  collection, whose inverted index is built once in bulk.  Shard results
+  depend only on ``(seed, shard_id)``, so the merged store is bit-identical
+  whatever the process count (including in-process execution with
+  ``processes=0``).
   PRIMA itself stays sequential — its geometric search is adaptive — so the
   parallel win is on the θ-sized estimator, which dominates at serving
   scale.
@@ -43,7 +46,7 @@ naming the ``ctx=`` replacement.
 from __future__ import annotations
 
 import functools
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -51,12 +54,10 @@ from repro import obs
 from repro.engine import EngineContext
 from repro.engine.context import reject_legacy_kwarg
 from repro.graph.digraph import InfluenceGraph
-from repro.rrset.batch import rr_set_widths
-from repro.rrset.oracle import InfluenceOracle
 from repro.rrset.prima import prima
 from repro.rrset.node_selection import node_selection
-from repro.rrset.rrgen import RRCollection, build_inverted_index
-from repro.store.format import INDEX_DTYPE, WORLDS_DTYPE
+from repro.rrset.rrgen import RRCollection
+from repro.store.format import WORLDS_DTYPE
 from repro.store.sketch_store import SketchStore, SketchStoreError
 
 
@@ -138,6 +139,24 @@ def _builder_context(
     return EngineContext.create(seed=0, triggering=triggering)
 
 
+def _check_build_args(
+    graph: InfluenceGraph, max_budget: int, estimation_rr_sets: int
+) -> int:
+    """Validate a PRIMA build before any sampling; return the capped budget.
+
+    ``max_budget`` is capped at ``n``; a non-positive result or a negative
+    ``estimation_rr_sets`` raises ``ValueError``.
+    """
+    capped = min(int(max_budget), graph.num_nodes)
+    if capped <= 0:
+        raise ValueError(f"max_budget must be positive, got {max_budget}")
+    if estimation_rr_sets < 0:
+        raise ValueError(
+            f"estimation_rr_sets must be non-negative, got {estimation_rr_sets}"
+        )
+    return capped
+
+
 @_timed_builder("build_store")
 def build_store(
     graph: InfluenceGraph,
@@ -151,28 +170,28 @@ def build_store(
     backend: Optional[str] = None,
     ctx: Optional[EngineContext] = None,
 ) -> SketchStore:
-    """Build a store by running the in-memory oracle's preprocessing.
+    """Build a store: PRIMA seed order plus an independent estimation set.
 
-    Equivalent to ``InfluenceOracle(graph, max_budget, ..., ctx=ctx)``
-    followed by a snapshot: same PRIMA run, same estimation collection,
-    same RNG stream — so a loaded store answers every query with the
-    in-memory oracle's exact numbers.  Without ``ctx`` the builder uses
+    One context stream runs PRIMA with the full budget vector
+    ``(b, b−1, …, 1)`` (``b`` = ``max_budget`` capped at ``n``), so every
+    prefix of the seed order carries Definition 1's guarantee for its size,
+    and then samples ``estimation_rr_sets`` fresh RR sets for unbiased
+    spread answers.  The snapshot keeps the stream's state, so
+    :func:`extend_store` continues it.  Without ``ctx`` the builder uses
     the seed-0 lineage (the historical default).
     """
     ctx = _builder_context(ctx, seed, backend, triggering, "build_store")
     # Fail fast on unpersistable triggering models (before the PRIMA run).
-    _triggering_name(
-        triggering if triggering is not None else ctx.triggering
+    name = _triggering_name(ctx.triggering)
+    capped = _check_build_args(graph, max_budget, estimation_rr_sets)
+    order = prima(
+        graph, list(range(capped, 0, -1)), epsilon=epsilon, ell=ell, ctx=ctx
     )
-    oracle = InfluenceOracle(
-        graph,
-        max_budget,
-        epsilon=epsilon,
-        ell=ell,
-        estimation_rr_sets=estimation_rr_sets,
-        ctx=ctx,
+    estimator = RRCollection(graph, ctx=ctx)
+    estimator.extend_to(int(estimation_rr_sets))
+    return SketchStore.from_collection(
+        graph, estimator, order.seeds, capped, epsilon, ell, triggering=name
     )
-    return oracle.to_store()
 
 
 @_timed_builder("build_sharded")
@@ -208,49 +227,43 @@ def build_sharded(
     integer seed): shard streams are its spawned children.  The sharded
     estimator necessarily consumes different randomness than
     :func:`build_store`'s single stream: stores from the two builders are
-    *statistically* equivalent, not byte-identical.  The persisted RNG
-    state is a dedicated extension child, so :func:`extend_store` remains
+    *statistically* equivalent, not byte-identical.  The shards are
+    appended in order to a collection rooted at a dedicated extension
+    child, whose state the store persists, so :func:`extend_store` remains
     deterministic on sharded stores too.
     """
     if num_shards < 1:
         raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    if estimation_rr_sets < 0:
-        raise ValueError(
-            f"estimation_rr_sets must be non-negative, got {estimation_rr_sets}"
-        )
     ctx = _builder_context(ctx, seed, backend, triggering, "build_sharded")
     if not ctx.has_lineage:
         raise ValueError(
             "build_sharded needs a seed-rooted EngineContext (integer "
             "seed): shard streams are SeedSequence children of the root"
         )
-    name = _triggering_name(
-        triggering if triggering is not None else ctx.triggering
-    )
-    backend = ctx.backend
+    name = _triggering_name(ctx.triggering)
+    capped = _check_build_args(graph, max_budget, estimation_rr_sets)
     # children[0]: PRIMA; [1..num_shards]: shards; [-1]: extension stream.
     children = ctx.seed_seq.spawn(num_shards + 2)
 
-    n = graph.num_nodes
-    capped = min(int(max_budget), n)
-    if capped <= 0:
-        raise ValueError(f"max_budget must be positive, got {max_budget}")
-    prima_result = prima(
+    def child_context(child: np.random.SeedSequence) -> EngineContext:
+        return EngineContext.create(
+            backend=ctx.backend,
+            rng=np.random.default_rng(child),
+            triggering=name,
+        )
+
+    order = prima(
         graph,
         list(range(capped, 0, -1)),
         epsilon=epsilon,
         ell=ell,
-        ctx=EngineContext.create(
-            backend=backend,
-            rng=np.random.default_rng(children[0]),
-            triggering=name,
-        ),
+        ctx=child_context(children[0]),
     )
 
     base, extra = divmod(int(estimation_rr_sets), num_shards)
     counts = [base + (1 if i < extra else 0) for i in range(num_shards)]
     jobs = [
-        (children[1 + i], counts[i], name, backend)
+        (children[1 + i], counts[i], name, ctx.backend)
         for i in range(num_shards)
         if counts[i] > 0
     ]
@@ -259,43 +272,11 @@ def build_sharded(
     parts = get_pool(processes).map_shards(
         "rr_shard", graph, jobs, triggering=ctx.triggering
     )
-
-    member_parts: List[np.ndarray] = [p[0] for p in parts]
-    length_parts: List[np.ndarray] = [p[1] for p in parts]
-    members = (
-        np.concatenate(member_parts)
-        if member_parts
-        else np.empty(0, dtype=INDEX_DTYPE)
-    )
-    lengths = (
-        np.concatenate(length_parts)
-        if length_parts
-        else np.empty(0, dtype=INDEX_DTYPE)
-    )
-    offsets = np.zeros(lengths.shape[0] + 1, dtype=INDEX_DTYPE)
-    np.cumsum(lengths, out=offsets[1:])
-    idx_sets, idx_indptr = build_inverted_index(members, offsets, n)
-
-    from repro.graph.io import graph_fingerprint
-
-    return SketchStore(
-        fingerprint=graph_fingerprint(graph),
-        num_nodes=n,
-        num_edges=graph.num_edges,
-        max_budget=capped,
-        epsilon=float(epsilon),
-        ell=float(ell),
-        backend=backend,
-        triggering=name,
-        world_cursor=0,
-        rng_state=np.random.default_rng(children[-1]).bit_generator.state,
-        seed_order=np.asarray(prima_result.seeds, dtype=INDEX_DTYPE),
-        members=members,
-        offsets=offsets,
-        widths=rr_set_widths(graph, members, lengths),
-        idx_sets=idx_sets,
-        idx_indptr=idx_indptr,
-        cover_counts=np.bincount(members, minlength=n),
+    estimator = RRCollection(graph, ctx=child_context(children[-1]))
+    for members, lengths in parts:
+        estimator.append_flat(members, lengths)
+    return SketchStore.from_collection(
+        graph, estimator, order.seeds, capped, epsilon, ell, triggering=name
     )
 
 

@@ -10,15 +10,16 @@
   memory-mapped store only the index pages the queried seeds touch are
   faulted in;
 * **bundleGRD allocation** — ``allocate(b)`` runs Algorithm 1 against the
-  stored seed order (no PRIMA re-run), mirroring
-  :meth:`repro.rrset.oracle.InfluenceOracle.allocate`.
+  stored seed order (no PRIMA re-run).
 
-Answers are *identical* to the in-memory oracle the store was built from:
-the seed order is persisted verbatim and the spread estimator operates on
-the same RR collection, so ``OracleService.open(path, graph)`` in a fresh
-process is indistinguishable — query for query — from the
-``InfluenceOracle`` that produced the store (the golden contract in
-``tests/test_store.py``).
+This is the repository's one influence oracle: the builders in
+:mod:`repro.store.builder` hand it an in-memory store, and
+:meth:`OracleService.open` a memory-mapped one.  Answers are *identical*
+either way: the seed order is persisted verbatim and the spread estimator
+operates on the same RR collection, so ``OracleService.open(path, graph)``
+in a fresh process answers query for query with the numbers of the PRIMA
+run and estimation collection that produced the store (the golden
+contract in ``tests/test_store.py``).
 """
 
 from __future__ import annotations

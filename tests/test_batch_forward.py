@@ -25,7 +25,8 @@ from repro.diffusion.batch_forward import (
     batch_simulate_comic,
     batch_simulate_ic,
     batch_simulate_uic,
-    batch_uic_totals,
+    batch_uic_counts,
+    batch_uic_welfare,
     spawn_world_rngs,
     supports_batched_uic,
 )
@@ -779,17 +780,19 @@ class TestForwardTotals:
     ):
         monkeypatch.setattr(batch_forward, "_TARGET_BYTES", target_bytes)
         graph, model, alloc = _config6_instance(300, 7)
-        totals = batch_uic_totals(
+        welfare = batch_uic_welfare(
             graph, model, alloc, 42, EngineContext.create(seed=5).rng
         )
         masks = batch_simulate_uic(
             graph, model, alloc, 42, EngineContext.create(seed=5).rng
         )
-        assert np.array_equal(totals.welfare, masks.welfare)
+        assert np.array_equal(welfare, masks.welfare)
         for item in [None, *range(model.num_items)]:
-            assert np.array_equal(
-                totals.adopter_counts(item), masks.adopter_counts(item)
+            counts = batch_uic_counts(
+                graph, model, alloc, item, 42,
+                EngineContext.create(seed=5).rng,
             )
+            assert np.array_equal(counts, masks.adopter_counts(item))
 
     @pytest.mark.parametrize("target_bytes", [1, 100_000])
     def test_comic_counts_equal_bitmaps_across_chunks(
@@ -849,4 +852,14 @@ class TestItemValidation:
             estimate_adoption(
                 wc400, two_item_model, [(0, 0)], num_samples=4, item=item,
                 ctx=_ctx(backend, 0),
+            )
+
+    @pytest.mark.parametrize("item", [-1, 2])
+    def test_uic_counts_reject_item_outside_model(
+        self, wc400, two_item_model, item
+    ):
+        with pytest.raises(ValueError, match="outside the model"):
+            batch_uic_counts(
+                wc400, two_item_model, [(0, 0)], item, 4,
+                np.random.default_rng(0),
             )

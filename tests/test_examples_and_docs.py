@@ -7,6 +7,7 @@ DESIGN.md) stay in sync with the tree.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -121,3 +122,28 @@ class TestDocumentationConsistency:
             "Fig. 9(a–c)", "Fig. 9(d)", "Table 5", "Table 6",
         ):
             assert anchor in experiments, f"EXPERIMENTS.md missing {anchor}"
+
+    def test_bench_json_lists_agree(self):
+        """The benches that write a BENCH_*.json, run_all.sh's sweep and
+        CI's bench-json artifact name the same files."""
+        written = {}
+        for path in sorted(BENCHMARKS.glob("bench_*.py")):
+            names = {
+                node.value
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and re.fullmatch(r"BENCH_\w+\.json", node.value)
+            }
+            if names:
+                written[path.name] = names
+        script = (BENCHMARKS / "run_all.sh").read_text()
+        swept = re.search(r"JSON_BENCHES=\((.*?)\)", script, re.S).group(1)
+        assert set(swept.split()) == set(written)
+        ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+        artifact = re.search(
+            r"name: bench-json\n(.*?)if-no-files-found", ci, re.S
+        ).group(1)
+        assert set(re.findall(r"BENCH_\w+\.json", artifact)) == set().union(
+            *written.values()
+        )

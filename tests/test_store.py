@@ -4,8 +4,9 @@ Contract under test (DESIGN.md store section):
 
 * **Golden serving** — a store built, saved and re-loaded (in this process
   and in a genuinely fresh one via the CLI) answers seed-prefix, spread
-  and allocation queries with the exact numbers of the in-memory
-  :class:`InfluenceOracle` it snapshots.
+  and allocation queries with the exact numbers of an in-memory
+  reference: the same PRIMA run and estimation collection, drawn from the
+  same stream, with spread read off ``RRCollection.coverage_fraction``.
 * **Round-trip fidelity** — every persisted array survives save/load byte
   for byte, memory-mapped or materialized.
 * **Stale/corrupt rejection** — fingerprint mismatches raise
@@ -31,7 +32,7 @@ from repro.core.bundlegrd import bundle_grd
 from repro.engine import EngineContext
 from repro.graph.generators import random_wc_graph
 from repro.graph.io import graph_fingerprint, write_edge_list
-from repro.rrset.oracle import InfluenceOracle
+from repro.rrset.prima import prima
 from repro.rrset.rrgen import RRCollection, build_inverted_index
 from repro.store import (
     OracleService,
@@ -46,6 +47,32 @@ from repro.store import (
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
+class Reference:
+    """What ``build_store`` snapshots, kept live in memory.
+
+    PRIMA with the full budget vector, then an independent estimation
+    collection, both on one context stream.  Spread answers come from
+    ``RRCollection.coverage_fraction`` (an epoch-stamp scan), so the
+    store's inverted-index scatter is checked against a different
+    computation of the same F_R.
+    """
+
+    def __init__(self, graph, max_budget, theta, ctx):
+        self.graph = graph
+        self.seed_order = prima(graph, range(max_budget, 0, -1), ctx=ctx).seeds
+        self.estimator = RRCollection(graph, ctx=ctx)
+        self.estimator.extend_to(theta)
+
+    def seeds(self, budget):
+        return self.seed_order[:budget]
+
+    def estimate_spread(self, seeds):
+        return self.graph.num_nodes * self.estimator.coverage_fraction(seeds)
+
+    def allocate(self, budgets):
+        return bundle_grd(self.graph, budgets, seed_order=self.seed_order)
+
+
 @pytest.fixture(scope="module")
 def graph():
     return random_wc_graph(400, 6, seed=19)
@@ -53,9 +80,8 @@ def graph():
 
 @pytest.fixture(scope="module")
 def oracle(graph):
-    return InfluenceOracle(
-        graph, max_budget=10, rng=np.random.default_rng(5),
-        estimation_rr_sets=3000,
+    return Reference(
+        graph, 10, 3000, EngineContext.create(rng=np.random.default_rng(5))
     )
 
 
@@ -124,8 +150,8 @@ class TestGoldenServing:
     def test_service_and_oracle_as_seed_order_are_fingerprint_checked(
         self, graph, oracle, store_path
     ):
-        """Every store-backed seed_order source — service and oracle
-        included — must be verified, not just the raw SketchStore."""
+        """Every store-backed seed_order source — the service included —
+        must be verified, not just the raw SketchStore."""
         other = random_wc_graph(50, 4, seed=1)
         service = OracleService.open(store_path)  # graph not yet checked
         assert (
@@ -134,8 +160,6 @@ class TestGoldenServing:
         )
         with pytest.raises(StaleStoreError):
             bundle_grd(other, [4], seed_order=service)
-        with pytest.raises(StaleStoreError):
-            bundle_grd(other, [4], seed_order=oracle)
 
     def test_plain_sequences_still_accepted_as_seed_order(self, graph):
         """range/generators were valid seed_order inputs before the
@@ -280,11 +304,13 @@ class TestStaleAndCorrupt:
 class TestIncrementalExtension:
     def test_extension_byte_identical_to_live_growth(self, graph, tmp_path):
         path = tmp_path / "ext.sketch"
-        rng = np.random.default_rng(31)
-        oracle = InfluenceOracle(
-            graph, max_budget=6, rng=rng, estimation_rr_sets=1200
+        build_store(
+            graph, 6, ctx=EngineContext.create(rng=np.random.default_rng(31)),
+            estimation_rr_sets=1200,
+        ).save(path)
+        oracle = Reference(
+            graph, 6, 1200, EngineContext.create(rng=np.random.default_rng(31))
         )
-        oracle.save(path)
         # Grow the live collection; the loaded store must track it exactly.
         oracle.estimator.generate(800)
         live_members, live_offsets = oracle.estimator.flat_arrays()
@@ -297,11 +323,10 @@ class TestIncrementalExtension:
         # stream rather than replaying it.
         assert extended.rng_state != SketchStore.load(path).rng_state
 
-    def test_incremental_index_equals_full_rebuild(self, graph, tmp_path):
+    @staticmethod
+    def _assert_index_equals_full_rebuild(store, graph, tmp_path):
         path = tmp_path / "idx.sketch"
-        build_store(
-            graph, 5, ctx=EngineContext.create(seed=3
-        ), estimation_rr_sets=700).save(path)
+        store.save(path)
         extended = extend_store(SketchStore.load(path), graph, 500)
         idx_sets, idx_indptr = build_inverted_index(
             np.asarray(extended.members),
@@ -314,6 +339,29 @@ class TestIncrementalExtension:
             extended.cover_counts,
             np.bincount(extended.members, minlength=graph.num_nodes),
         )
+
+    def test_incremental_index_equals_full_rebuild(self, graph, tmp_path):
+        store = build_store(
+            graph, 5, ctx=EngineContext.create(seed=3
+        ), estimation_rr_sets=700)
+        self._assert_index_equals_full_rebuild(store, graph, tmp_path)
+
+    def test_incremental_index_equals_full_rebuild_on_sharded_store(
+        self, graph, tmp_path
+    ):
+        """The sharded store's index, cover counts and widths come from
+        the collection its shards were appended to."""
+        store = build_sharded(
+            graph, 5, num_shards=3, processes=0,
+            ctx=EngineContext.create(seed=3), estimation_rr_sets=700,
+        )
+        in_degree = np.diff(graph._in_indptr)
+        assert np.array_equal(
+            store.widths,
+            [in_degree[store.members[a:b]].sum()
+             for a, b in zip(store.offsets[:-1], store.offsets[1:])],
+        )
+        self._assert_index_equals_full_rebuild(store, graph, tmp_path)
 
     def test_extension_statistical_equivalence(self, graph, tmp_path):
         """Extended stores estimate the same spreads as fresh ones of the
@@ -354,11 +402,16 @@ class TestIncrementalExtension:
         """Bit-generator states carrying numpy arrays (MT19937's key)
         survive the JSON header and keep extension byte-reproducible."""
         path = tmp_path / "mt.sketch"
-        rng = np.random.Generator(np.random.MT19937(7))
-        oracle = InfluenceOracle(
-            graph, max_budget=4, rng=rng, estimation_rr_sets=300
-        )
-        oracle.save(path)
+
+        def mt_context():
+            return EngineContext.create(
+                rng=np.random.Generator(np.random.MT19937(7))
+            )
+
+        build_store(
+            graph, 4, ctx=mt_context(), estimation_rr_sets=300
+        ).save(path)
+        oracle = Reference(graph, 4, 300, mt_context())
         oracle.estimator.generate(100)
         live_members, _ = oracle.estimator.flat_arrays()
         extended = extend_store(SketchStore.load(path), graph, 100)
@@ -416,10 +469,11 @@ class TestShardedBuild:
     def test_invalid_parameters(self, graph):
         with pytest.raises(ValueError):
             build_sharded(graph, 4, num_shards=0)
-        with pytest.raises(ValueError):
-            build_sharded(graph, 0)
-        with pytest.raises(ValueError):
-            build_sharded(graph, 4, estimation_rr_sets=-1)
+        for builder in (build_sharded, build_store):
+            with pytest.raises(ValueError):
+                builder(graph, 0)
+            with pytest.raises(ValueError):
+                builder(graph, 4, estimation_rr_sets=-1)
 
     def test_arbitrary_triggering_model_rejected(self, graph):
         from repro.diffusion.triggering import AttentionICTriggering
@@ -433,7 +487,7 @@ class TestShardedBuild:
 
 class TestCLI:
     """``repro oracle build|extend|query`` — including the acceptance
-    golden: a fresh *process* returns the in-memory oracle's prefixes."""
+    golden: a fresh *process* returns the in-memory reference's prefixes."""
 
     @pytest.fixture(scope="class")
     def cli_env(self, tmp_path_factory):
@@ -463,13 +517,12 @@ class TestCLI:
         )
         assert query.returncode == 0, query.stderr
 
-        # The golden: an in-memory oracle on the re-read graph, same seed.
+        # The golden: the in-memory reference on the re-read graph, same seed.
         from repro.graph.io import read_edge_list
 
         graph, _ = read_edge_list(graph_path)
-        oracle = InfluenceOracle(
-            graph, max_budget=6, rng=np.random.default_rng(13),
-            estimation_rr_sets=800,
+        oracle = Reference(
+            graph, 6, 800, EngineContext.create(rng=np.random.default_rng(13))
         )
         lines = dict(
             line.split(" = ")
@@ -507,6 +560,18 @@ class TestCLI:
         with pytest.raises(SystemExit, match="was not built from the edge list"):
             main(["oracle", "query", "--graph", str(other_path),
                   "--store", str(store_path), "--budgets", "2"])
+
+    def test_negative_rr_sets_fails_without_writing(self, cli_env, tmp_path):
+        from repro.cli import main
+
+        graph_path, _ = cli_env
+        path = tmp_path / "negative.sketch"
+        for shards in ("1", "2"):
+            with pytest.raises(ValueError, match="non-negative"):
+                main(["oracle", "build", "--graph", str(graph_path),
+                      "--store", str(path), "--max-budget", "4",
+                      "--rr-sets", "-1", "--shards", shards])
+            assert not path.exists()
 
     def test_sharded_build_via_cli(self, cli_env, tmp_path):
         from repro.cli import main
