@@ -330,33 +330,43 @@ class _GapSampler:
         Lengths may be zero (failed root coins).  Advances the cursor.
         """
         start = self._cursor.advance(count)
-        if is_batched(self.backend):
-            world_ids = (
-                start + np.arange(count, dtype=np.int64)
-            ) % self._bitmap.shape[0]
-            return batch_generate_gap_rr_sets(
-                self._graph,
-                self._rng,
-                count,
-                self._q_plain,
-                self._q_boosted,
-                self._bitmap,
-                world_ids,
-            )
-        num_worlds = len(self._worlds)
-        parts: List[np.ndarray] = []
-        lengths = np.zeros(count, dtype=np.int64)
-        for j in range(count):
-            boosted = (
-                self._worlds[(start + j) % num_worlds]
-                if num_worlds
-                else set()
-            )
-            rr = _gap_rr_set(
-                self._graph, self._rng, self._q_plain, self._q_boosted, boosted
-            )
-            parts.append(rr)
-            lengths[j] = rr.shape[0]
+        batched = is_batched(self.backend)
+        with obs.span(
+            "rrset.generate_gap",
+            count=int(count),
+            backend="batched" if batched else "sequential",
+        ):
+            if batched:
+                world_ids = (
+                    start + np.arange(count, dtype=np.int64)
+                ) % self._bitmap.shape[0]
+                return batch_generate_gap_rr_sets(
+                    self._graph,
+                    self._rng,
+                    count,
+                    self._q_plain,
+                    self._q_boosted,
+                    self._bitmap,
+                    world_ids,
+                )
+            num_worlds = len(self._worlds)
+            parts: List[np.ndarray] = []
+            lengths = np.zeros(count, dtype=np.int64)
+            for j in range(count):
+                boosted = (
+                    self._worlds[(start + j) % num_worlds]
+                    if num_worlds
+                    else set()
+                )
+                rr = _gap_rr_set(
+                    self._graph,
+                    self._rng,
+                    self._q_plain,
+                    self._q_boosted,
+                    boosted,
+                )
+                parts.append(rr)
+                lengths[j] = rr.shape[0]
         members = (
             np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
         )

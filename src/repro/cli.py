@@ -604,6 +604,11 @@ def _graph_source_kind(path: str) -> str:
     return ".graph CSR file" if is_graph_file(path) else "edge list"
 
 
+class _ArgumentValueError(SystemExit, ValueError):
+    """A rejected argument value: from the shell, one line on stderr and
+    exit status 1; to in-process callers of :func:`main`, a ``ValueError``."""
+
+
 def _load_graph_source(path: str):
     """Load a ``--graph`` argument: mmap'd ``.graph`` file or edge list."""
     from repro.graph.bigcsr import GraphFileError, is_graph_file, load_graph
@@ -756,57 +761,61 @@ def _run_oracle(args: argparse.Namespace) -> int:
         # One resolved default shared by both prima build branches (the
         # builders' own signature default, spelled once).
         rr_sets = args.rr_sets if args.rr_sets is not None else 10_000
-        if args.model == "comic":
-            if args.shards > 1:
-                raise SystemExit(
-                    "comic stores build single-stream; drop --shards"
-                )
-            if args.rr_sets is not None:
-                raise SystemExit(
-                    "comic stores persist the GAP θ phase itself; "
-                    "--rr-sets does not apply, drop it"
-                )
-            if args.triggering is not None:
-                raise SystemExit(
-                    "comic stores sample under the Com-IC GAP model; "
-                    "--triggering does not apply, drop it"
-                )
-            from repro.diffusion.comic import ComICModel
+        # Builders reject bad values (--max-budget 0) before any sampling.
+        try:
+            if args.model == "comic":
+                if args.shards > 1:
+                    raise SystemExit(
+                        "comic stores build single-stream; drop --shards"
+                    )
+                if args.rr_sets is not None:
+                    raise SystemExit(
+                        "comic stores persist the GAP θ phase itself; "
+                        "--rr-sets does not apply, drop it"
+                    )
+                if args.triggering is not None:
+                    raise SystemExit(
+                        "comic stores sample under the Com-IC GAP model; "
+                        "--triggering does not apply, drop it"
+                    )
+                from repro.diffusion.comic import ComICModel
 
-            store = build_comic_store(
-                graph,
-                ComICModel(*args.gap),
-                args.max_budget,
-                select_item=args.select_item,
-                fixed_budget=args.fixed_budget,
-                epsilon=args.epsilon,
-                ell=args.ell,
-                num_forward_worlds=args.forward_worlds,
-                extra_forward_pass=args.comic_variant == "rr-cim",
-                ctx=ctx,
-            )
-        elif args.shards > 1:
-            store = build_sharded(
-                graph,
-                args.max_budget,
-                num_shards=args.shards,
-                processes=args.processes,
-                epsilon=args.epsilon,
-                ell=args.ell,
-                estimation_rr_sets=rr_sets,
-                triggering=args.triggering,
-                ctx=ctx,
-            )
-        else:
-            store = build_store(
-                graph,
-                args.max_budget,
-                epsilon=args.epsilon,
-                ell=args.ell,
-                estimation_rr_sets=rr_sets,
-                triggering=args.triggering,
-                ctx=ctx,
-            )
+                store = build_comic_store(
+                    graph,
+                    ComICModel(*args.gap),
+                    args.max_budget,
+                    select_item=args.select_item,
+                    fixed_budget=args.fixed_budget,
+                    epsilon=args.epsilon,
+                    ell=args.ell,
+                    num_forward_worlds=args.forward_worlds,
+                    extra_forward_pass=args.comic_variant == "rr-cim",
+                    ctx=ctx,
+                )
+            elif args.shards > 1:
+                store = build_sharded(
+                    graph,
+                    args.max_budget,
+                    num_shards=args.shards,
+                    processes=args.processes,
+                    epsilon=args.epsilon,
+                    ell=args.ell,
+                    estimation_rr_sets=rr_sets,
+                    triggering=args.triggering,
+                    ctx=ctx,
+                )
+            else:
+                store = build_store(
+                    graph,
+                    args.max_budget,
+                    epsilon=args.epsilon,
+                    ell=args.ell,
+                    estimation_rr_sets=rr_sets,
+                    triggering=args.triggering,
+                    ctx=ctx,
+                )
+        except ValueError as exc:
+            raise _ArgumentValueError(f"oracle build: {exc}") from exc
         store.save(args.store)
         print(
             f"built {args.store}: model={store.model} n={store.num_nodes} "

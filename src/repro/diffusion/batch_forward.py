@@ -14,7 +14,8 @@ with one vectorized step per diffusion round over the graph's forward CSR.
 nodes' out-edges (``np.repeat`` over per-node degrees, exactly the batched
 RR-set trick mirrored onto the out-CSR), resolves which candidate edges are
 live, filters targets against per-world state bitmaps, and de-duplicates the
-survivors within the round via ``np.unique`` on scalar keys.  Per-model
+survivors within the round by sorting scalar keys
+(:func:`~repro.diffusion.triggering.distinct_sorted`).  Per-model
 state is a set of flat ``(worlds, n)`` arrays:
 
 * **IC** — one boolean ``active`` bitmap; live edges are per-discovery
@@ -42,8 +43,8 @@ state is a set of flat ``(worlds, n)`` arrays:
 
 **Memory.**  Worlds are processed in chunks sized so the per-chunk state
 (bitmaps, thresholds, live-edge flags) stays within ``_TARGET_BYTES``;
-arbitrarily many worlds stream through a fixed working set, mirroring the
-chunked visited bitmap of the batched RR sampler.  The estimators read only
+arbitrarily many worlds stream through a fixed working set, as walks stream
+through the batched RR sampler's sized chunks.  The estimators read only
 per-world totals (:func:`batch_uic_welfare`, :func:`batch_uic_counts`,
 :func:`batch_comic_counts`), so
 no per-node state outlives its chunk; :func:`batch_simulate_uic` and
@@ -80,6 +81,7 @@ from repro.diffusion.triggering import (
     TriggerCSR,
     TriggeringModel,
     build_trigger_csr,
+    distinct_sorted,
     has_trigger_distribution,
     segmented_positions,
 )
@@ -141,7 +143,7 @@ def _gather_out_edges(
 ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
     """Segmented gather of every candidate out-edge of a flat frontier.
 
-    The forward mirror of ``repro.rrset.batch._gather_in_edges``: returns
+    The forward mirror of the batched RR sampler's in-edge gather: returns
     ``(dst, probs, degs, total)`` — flattened targets, the edge
     probabilities, per-node degrees and the total count — or ``None`` when
     the frontier has no out-edges at all.
@@ -341,7 +343,7 @@ def batch_simulate_ic(
                 t = t[fresh]
             if w.size == 0:
                 break
-            key = np.unique(w * n + t)
+            key = distinct_sorted(w * n + t)
             w = key // n
             t = key % n
             sub[w, t] = True
@@ -485,7 +487,7 @@ def _comic_chunks(
                         event_parts.append((w_i * n + t_i) * 2 + item)
                 if not event_parts:
                     break
-                key = np.unique(np.concatenate(event_parts))
+                key = distinct_sorted(np.concatenate(event_parts))
                 item = key % 2
                 wt = key // 2
                 ew, ev, ei = wt // n, wt % n, item
@@ -722,7 +724,7 @@ class _LazyTriggerLog:
         pair_keys = w * n + v
         fresh = ~self._sampled[w, v]
         if fresh.any():
-            new_keys = np.unique(pair_keys[fresh])
+            new_keys = distinct_sorted(pair_keys[fresh])
             nv = new_keys % n
             members, degs = _sample_trigger_members(
                 self._csr, nv, rng.random(new_keys.shape[0])

@@ -15,18 +15,28 @@ frontier in one vectorized step over the graph's reverse-CSR arrays:
    the edge probability; under LT, one uniform per *frontier node* compared
    against the segmented cumulative in-weights, which selects at most one
    in-neighbor per node exactly as the sequential trigger-set sampler does.
-3. **Dedup** — surviving ``(walk, source)`` pairs are filtered against a
-   per-chunk ``visited`` bitmap and de-duplicated within the step via
-   ``np.unique`` on the key ``walk * n + node``; the survivors form the next
-   frontier and are appended to the flat member log.
+3. **Dedup** — surviving pairs become walk-major keys ``walk * n + node``,
+   are filtered against the chunk's visited keys and de-duplicated within
+   the step by a sort (:func:`~repro.diffusion.triggering.distinct_sorted`);
+   the survivors form the next frontier.
 
-After all frontiers die out, the member log is stably ``argsort``-ed by walk
-id, yielding the concatenated members of every RR set plus per-walk lengths —
-exactly the flat CSR layout :class:`repro.rrset.rrgen.RRCollection` stores.
+The visited set is not a dense ``(walks × n)`` bitmap but a few sorted
+*runs* of keys: each step's fresh keys become a new run, membership is one
+``np.searchsorted`` per run, and while the second-to-last run is at most
+twice the size of the last the two are merged (a stable sort, which
+timsort does in one linear merge of the two runs).  Run sizes thus
+fall geometrically, so a chunk keeps O(log) runs and does O(members · log)
+work however deep its cascades go.  When the frontiers die out the merged
+keys are ordered by (walk, node), which *is* the flat CSR layout
+:class:`repro.rrset.rrgen.RRCollection` stores: members ascend by node id
+within each set and the per-walk lengths are a ``bincount`` of the walk ids.
 
-Memory is bounded by chunking: walks are processed in groups of ``B`` such
-that the ``B × n`` visited bitmap stays within ``_TARGET_CELLS`` bytes, so
-arbitrarily large requests stream through a fixed-size working set.
+Memory is bounded by chunking without a knob: a chunk holds at most
+``_WALK_CAP`` walks and is sized so its keys fit ``_KEY_BUDGET``.  The first
+chunk assumes every walk could reach all ``n`` nodes; later chunks use the
+members per walk this call has seen so far.  Chunk sizes depend only on the
+call's graph, count and draws, so a call is a pure function of its
+arguments and RNG state.
 
 Two extensions serve the TIM-based algorithms:
 
@@ -39,7 +49,8 @@ Two extensions serve the TIM-based algorithms:
   a node-level adoption coin whose probability is ``q_boosted`` when the
   node adopts the complementary item in the forward world paired with the
   walk (a per-world boolean bitmap row selected by ``world_ids``) and
-  ``q_plain`` otherwise.  A failed *root* coin yields an empty RR set.
+  ``q_plain`` otherwise.  A failed *root* coin yields an empty RR set.  The
+  coin is one optional step of the same kernel.
 
 Generic :class:`~repro.diffusion.triggering.TriggeringModel` instances beyond
 IC/LT are vectorized too, provided they expose an explicit per-node
@@ -54,7 +65,7 @@ which).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -65,6 +76,7 @@ from repro.diffusion.triggering import (
     TriggerCSR,
     TriggeringModel,
     build_trigger_csr,
+    distinct_sorted,
     has_trigger_distribution,
     needs_trigger_csr,
     sample_trigger_members,
@@ -88,8 +100,10 @@ __all__ = [
 # BACKEND_ENV / BACKENDS / resolve_backend live in repro.engine.context
 # since the EngineContext refactor; re-exported here for compatibility.
 
-#: Upper bound on the per-chunk visited bitmap (cells = walks × nodes).
-_TARGET_CELLS = 1 << 25  # 32M bools ≈ 32 MB
+#: Most walks one chunk runs at once.
+_WALK_CAP = 1 << 14
+#: Visited keys one chunk is sized to hold (int64: 32 MiB).
+_KEY_BUDGET = 1 << 22
 
 
 def supports_batched(triggering: Optional[TriggeringModel]) -> bool:
@@ -142,147 +156,22 @@ def batch_generate_rr_sets(
     Returns ``(members, lengths)`` where ``members`` is the int64
     concatenation of all RR sets in generation order and ``lengths[i]`` is
     the size of RR set ``i`` (``members.size == lengths.sum()``; every set
-    includes its root, so lengths are >= 1).
+    includes its root, so lengths are >= 1).  Members ascend by node id
+    within each set.
 
     Generic triggering models are sampled through their compiled
     :class:`TriggerCSR`; pass ``trigger_csr`` to reuse a cached compilation
     (otherwise it is rebuilt here, one Python pass over the nodes).
     """
-    n = graph.num_nodes
-    if n == 0:
-        raise ValueError("cannot sample an RR set from an empty graph")
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
     if not supports_batched(triggering):
         raise ValueError(
             f"triggering model {triggering!r} has no batched sampler; "
             "use the sequential backend"
         )
-    if count == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-
-    lt = isinstance(triggering, LinearThresholdTriggering)
     if trigger_csr is None and needs_trigger_csr(triggering):
         trigger_csr = build_trigger_csr(graph, triggering)
-    chunk = max(1, min(count, _TARGET_CELLS // max(n, 1)))
-    # One visited bitmap reused across chunks; each chunk clears only the
-    # cells it touched (O(members) instead of an O(chunk * n) re-zero).
-    visited = np.zeros((chunk, n), dtype=bool)
-    member_parts = []
-    length_parts = []
-    remaining = count
-    while remaining > 0:
-        batch = min(chunk, remaining)
-        nodes, lengths = _sample_chunk(
-            graph, rng, batch, lt, visited, trigger_csr
-        )
-        # Members sorted by walk + per-walk lengths identify every visited
-        # cell; clear them for the next chunk.
-        visited[np.repeat(np.arange(batch), lengths), nodes] = False
-        member_parts.append(nodes)
-        length_parts.append(lengths)
-        remaining -= batch
-    return np.concatenate(member_parts), np.concatenate(length_parts)
-
-
-def _gather_in_edges(
-    graph: InfluenceGraph, frontier_n: np.ndarray
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]]:
-    """Segmented gather of every candidate in-edge of a flat frontier.
-
-    Returns ``(src, prob, degs, excl, total)`` — the flattened in-neighbor
-    and probability arrays of all frontier nodes, the per-node degrees, the
-    exclusive degree cumsum (segment starts) and the total edge count — or
-    ``None`` when the frontier has no in-edges at all.
-    """
-    indptr = graph._in_indptr
-    starts = indptr[frontier_n]
-    degs = indptr[frontier_n + 1] - starts
-    total = int(degs.sum())
-    if total == 0:
-        return None
-    excl = np.cumsum(degs) - degs
-    pos = segmented_positions(starts, degs)
-    return graph._in_sources[pos], graph._in_probs[pos], degs, excl, total
-
-
-def _sample_chunk(
-    graph: InfluenceGraph,
-    rng: np.random.Generator,
-    batch: int,
-    lt: bool,
-    visited: np.ndarray,
-    trigger_csr: Optional[TriggerCSR] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Run ``batch`` concurrent reverse BFS walks; see the module docstring.
-
-    ``visited`` is a caller-owned scratch bitmap of shape ``(>= batch, n)``
-    whose cells must all be False on entry; the caller clears the touched
-    cells afterwards (identified by the returned members/lengths).  With
-    ``trigger_csr`` given, each frontier node's live in-edges come from one
-    vectorized trigger-distribution query instead of IC/LT coins.
-    """
-    n = graph.num_nodes
-
-    roots = rng.integers(0, n, size=batch).astype(np.int64)
-    visited[np.arange(batch), roots] = True
-
-    walk_parts = [np.arange(batch, dtype=np.int64)]
-    node_parts = [roots]
-    frontier_w = walk_parts[0]
-    frontier_n = roots
-
-    while frontier_w.size:
-        if trigger_csr is not None:
-            src, degs = sample_trigger_members(
-                trigger_csr, frontier_n, rng.random(frontier_n.size)
-            )
-            w = np.repeat(frontier_w, degs)
-            s = src
-        else:
-            gathered = _gather_in_edges(graph, frontier_n)
-            if gathered is None:
-                break
-            src, prob, degs, excl, total = gathered
-            if lt:
-                # One uniform per frontier node selects at most one
-                # in-neighbor: edge j of node v is live iff
-                # cum_{<j} <= draw < cum_{<=j}, the live-edge
-                # characterization of LT.
-                cum = np.cumsum(prob)
-                # Zero-degree segments have excl == total; clip before
-                # indexing (np.repeat with 0 repeats drops their entries
-                # regardless).
-                safe = np.minimum(excl, total - 1)
-                seg_cum = cum - np.repeat(cum[safe] - prob[safe], degs)
-                draw = np.repeat(rng.random(frontier_n.size), degs)
-                live = (draw < seg_cum) & (draw >= seg_cum - prob)
-            else:
-                live = rng.random(total) < prob
-            rep = np.repeat(frontier_w, degs)
-            w = rep[live]
-            s = src[live]
-        if w.size:
-            fresh = ~visited[w, s]
-            w = w[fresh]
-            s = s[fresh]
-        if w.size == 0:
-            break
-        # Dedup (walk, node) pairs discovered twice within this step.
-        key = np.unique(w * n + s)
-        w = key // n
-        s = key % n
-        visited[w, s] = True
-        walk_parts.append(w)
-        node_parts.append(s)
-        frontier_w = w
-        frontier_n = s
-
-    walks = np.concatenate(walk_parts)
-    nodes = np.concatenate(node_parts)
-    lengths = np.bincount(walks, minlength=batch)
-    order = np.argsort(walks, kind="stable")
-    return nodes[order], lengths
+    lt = isinstance(triggering, LinearThresholdTriggering)
+    return _sample_chunks(graph, rng, count, lt, trigger_csr)
 
 
 def batch_generate_gap_rr_sets(
@@ -305,14 +194,18 @@ def batch_generate_gap_rr_sets(
     *root* coin yields an empty RR set (``lengths[j] == 0``), mirroring the
     "root must be willing to adopt" condition of the analysis.
 
+    The coin is flipped once per *discovery attempt* (live edge into a
+    not-yet-visited node), not once per node: a node that fails its coin
+    stays unvisited and may be retried by later live edges.  This matches
+    the sequential sampler (:func:`repro.baselines._comic_common._gap_rr_set`)
+    exactly — both give a per-step inclusion probability of
+    ``1 - (1 - q)^d`` for ``d`` live edges — so the two backends sample the
+    same distribution.
+
     Returns ``(members, lengths)`` in the same flat layout as
     :func:`batch_generate_rr_sets`, except lengths may be zero.
     """
     n = graph.num_nodes
-    if n == 0:
-        raise ValueError("cannot sample an RR set from an empty graph")
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
     boosted = np.asarray(boosted, dtype=bool)
     if boosted.ndim != 2 or boosted.shape[1] != n:
         raise ValueError(
@@ -323,96 +216,152 @@ def batch_generate_gap_rr_sets(
         raise ValueError(
             f"need one world id per walk: {world_ids.shape[0]} != {count}"
         )
-    if count == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    gap = (q_plain, q_boosted, boosted, world_ids)
+    return _sample_chunks(graph, rng, count, False, None, gap)
 
-    chunk = max(1, min(count, _TARGET_CELLS // max(n, 1)))
-    visited = np.zeros((chunk, n), dtype=bool)
-    member_parts = []
-    length_parts = []
-    done = 0
+
+def _sample_chunks(
+    graph: InfluenceGraph,
+    rng: np.random.Generator,
+    count: int,
+    lt: bool,
+    trigger_csr: Optional[TriggerCSR],
+    gap: Optional[tuple] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Stream ``count`` walks through :func:`_sample_chunk` in sized chunks."""
+    n = graph.num_nodes
+    if n == 0:
+        raise ValueError("cannot sample an RR set from an empty graph")
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    member_parts = [np.empty(0, dtype=np.int64)]
+    length_parts = [np.empty(0, dtype=np.int64)]
+    done = members_done = 0
     while done < count:
-        batch = min(chunk, count - done)
-        nodes, lengths = _sample_gap_chunk(
-            graph,
-            rng,
-            batch,
-            q_plain,
-            q_boosted,
-            boosted,
-            world_ids[done : done + batch],
-            visited,
+        if members_done:
+            batch = min(_WALK_CAP, _KEY_BUDGET * done // members_done)
+        else:
+            batch = min(_WALK_CAP, _KEY_BUDGET // n)
+        batch = max(1, min(batch, count - done))
+        chunk_gap = None
+        if gap is not None:
+            q_plain, q_boosted, boosted, world_ids = gap
+            chunk_gap = (
+                q_plain, q_boosted, boosted, world_ids[done : done + batch]
+            )
+        nodes, lengths = _sample_chunk(
+            graph, rng, batch, lt, trigger_csr, chunk_gap
         )
-        visited[np.repeat(np.arange(batch), lengths), nodes] = False
         member_parts.append(nodes)
         length_parts.append(lengths)
         done += batch
+        members_done += nodes.shape[0]
     return np.concatenate(member_parts), np.concatenate(length_parts)
 
 
-def _sample_gap_chunk(
+def _adoption_coins(
+    rng: np.random.Generator, gap: tuple, w: np.ndarray, s: np.ndarray
+) -> np.ndarray:
+    """One GAP adoption coin per ``(walk, node)`` discovery attempt."""
+    q_plain, q_boosted, boosted, world_ids = gap
+    q = np.where(boosted[world_ids[w], s], q_boosted, q_plain)
+    return rng.random(w.size) < q
+
+
+def _in_runs(runs: List[np.ndarray], keys: np.ndarray) -> np.ndarray:
+    """Which ``keys`` occur in any of the sorted, non-empty ``runs``."""
+    hit = np.zeros(keys.shape[0], dtype=bool)
+    for run in runs:
+        pos = np.searchsorted(run, keys)
+        np.minimum(pos, run.shape[0] - 1, out=pos)
+        hit |= run[pos] == keys
+    return hit
+
+
+def _sample_chunk(
     graph: InfluenceGraph,
     rng: np.random.Generator,
     batch: int,
-    q_plain: float,
-    q_boosted: float,
-    boosted: np.ndarray,
-    world_ids: np.ndarray,
-    visited: np.ndarray,
+    lt: bool,
+    trigger_csr: Optional[TriggerCSR],
+    gap: Optional[tuple],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """GAP-aware sibling of :func:`_sample_chunk` (IC edge coins only).
+    """Run ``batch`` concurrent reverse BFS walks; see the module docstring.
 
-    The node adoption coin is flipped once per *discovery attempt* (live
-    edge into a not-yet-visited node), not once per node: a node that fails
-    its coin stays unvisited and may be retried by later live edges.  This
-    matches the sequential sampler
-    (:func:`repro.baselines._comic_common._gap_rr_set`) exactly — both give
-    a per-step inclusion probability of ``1 - (1 - q)^d`` for ``d`` live
-    edges — so the two backends sample the same distribution.
+    Returns ``(members, lengths)`` with each walk's members ascending by
+    node id.  With ``trigger_csr`` given, each frontier node's live in-edges
+    come from one vectorized trigger-distribution query instead of IC/LT
+    coins; with ``gap`` given, every discovery attempt (and the root) also
+    passes the GAP adoption coin.
     """
     n = graph.num_nodes
 
     roots = rng.integers(0, n, size=batch).astype(np.int64)
-    q_root = np.where(boosted[world_ids, roots], q_boosted, q_plain)
-    alive = rng.random(batch) < q_root
-    frontier_w = np.flatnonzero(alive).astype(np.int64)
-    frontier_n = roots[frontier_w]
-    visited[frontier_w, frontier_n] = True
-
-    walk_parts = [frontier_w]
-    node_parts = [frontier_n]
+    frontier_w = np.arange(batch, dtype=np.int64)
+    if gap is not None:
+        alive = _adoption_coins(rng, gap, frontier_w, roots)
+        frontier_w = frontier_w[alive]
+        roots = roots[alive]
+    frontier_n = roots
+    runs = [frontier_w * n + frontier_n]
 
     while frontier_w.size:
-        gathered = _gather_in_edges(graph, frontier_n)
-        if gathered is None:
+        if trigger_csr is not None:
+            src, degs = sample_trigger_members(
+                trigger_csr, frontier_n, rng.random(frontier_n.size)
+            )
+            keys = np.repeat(frontier_w, degs) * n + src
+        else:
+            # Segmented gather of every candidate in-edge of the frontier.
+            starts = graph._in_indptr[frontier_n]
+            degs = graph._in_indptr[frontier_n + 1] - starts
+            total = int(degs.sum())
+            if total == 0:
+                break
+            pos = segmented_positions(starts, degs)
+            src, prob = graph._in_sources[pos], graph._in_probs[pos]
+            if lt:
+                # One uniform per frontier node selects at most one
+                # in-neighbor: edge j of node v is live iff
+                # cum_{<j} <= draw < cum_{<=j}, the live-edge
+                # characterization of LT.
+                cum = np.cumsum(prob)
+                # Segment starts; zero-degree segments have excl == total,
+                # so clip before indexing (np.repeat with 0 repeats drops
+                # their entries regardless).
+                excl = np.cumsum(degs) - degs
+                safe = np.minimum(excl, total - 1)
+                seg_cum = cum - np.repeat(cum[safe] - prob[safe], degs)
+                draw = np.repeat(rng.random(frontier_n.size), degs)
+                live = (draw < seg_cum) & (draw >= seg_cum - prob)
+            else:
+                live = rng.random(total) < prob
+            keys = np.repeat(frontier_w, degs)[live] * n + src[live]
+        if gap is None:
+            # Dedup (walk, node) pairs discovered twice within this step;
+            # sorted needles make the membership searches cache-friendly.
+            keys = distinct_sorted(keys)
+            keys = keys[~_in_runs(runs, keys)]
+        else:
+            # One adoption coin per discovery attempt, so dedupe after it.
+            keys = keys[~_in_runs(runs, keys)]
+            w = keys // n
+            keys = distinct_sorted(
+                keys[_adoption_coins(rng, gap, w, keys - w * n)]
+            )
+        if keys.size == 0:
             break
-        src, prob, degs, _, total = gathered
-        live = rng.random(total) < prob
-        w = np.repeat(frontier_w, degs)[live]
-        s = src[live]
-        if w.size:
-            fresh = ~visited[w, s]
-            w = w[fresh]
-            s = s[fresh]
-        if w.size:
-            q = np.where(boosted[world_ids[w], s], q_boosted, q_plain)
-            adopt = rng.random(w.size) < q
-            w = w[adopt]
-            s = s[adopt]
-        if w.size == 0:
-            break
-        # Dedup (walk, node) pairs discovered twice within this step.
-        key = np.unique(w * n + s)
-        w = key // n
-        s = key % n
-        visited[w, s] = True
-        walk_parts.append(w)
-        node_parts.append(s)
-        frontier_w = w
-        frontier_n = s
+        frontier_w = keys // n
+        frontier_n = keys - frontier_w * n
+        runs.append(keys)
+        while len(runs) > 1 and runs[-2].shape[0] <= 2 * runs[-1].shape[0]:
+            last = runs.pop()
+            merged = np.concatenate((runs[-1], last))
+            # Timsort finds the two sorted runs and merges them in one pass.
+            merged.sort(kind="stable")
+            runs[-1] = merged
 
-    walks = np.concatenate(walk_parts)
-    nodes = np.concatenate(node_parts)
-    lengths = np.bincount(walks, minlength=batch)
-    order = np.argsort(walks, kind="stable")
-    return nodes[order], lengths
+    keys = np.concatenate(runs)
+    keys.sort(kind="stable")
+    walks = keys // n
+    return keys - walks * n, np.bincount(walks, minlength=batch)

@@ -22,11 +22,12 @@ Two samplers produce identical distributions:
 :class:`RRCollection` stores the collection *flat*: one concatenated int64
 ``members`` array plus an ``offsets`` array (CSR over sets), instead of a
 Python list of arrays.  The inverted index (node -> RR-set ids) that greedy
-``NodeSelection`` needs is rebuilt lazily in bulk — one ``argsort`` of the
-members by node plus a ``bincount`` for the indptr — rather than via
-per-element list appends; with the geometric sample-size growth of
-IMM/PRIMA's search the amortized rebuild cost stays linear-log in the total
-width.  ``w(R)`` totals are tracked for the paper's running-time accounting.
+``NodeSelection`` needs is rebuilt lazily in bulk — one sort of
+``member * num_sets + set_id`` keys plus a ``bincount`` for the indptr —
+rather than via per-element list appends; with the geometric sample-size
+growth of IMM/PRIMA's search the amortized rebuild cost stays linear-log in
+the total width.  ``w(R)`` totals are tracked for the paper's running-time
+accounting.
 """
 
 from __future__ import annotations
@@ -109,17 +110,20 @@ def build_inverted_index(
     """Bulk-build the node -> RR-set-id inverted index over flat storage.
 
     Returns ``(idx_sets, idx_indptr)``: RR-set ids grouped by node (stable —
-    ascending set id within each node), CSR over nodes.  One stable
-    ``argsort`` of the members by node plus a ``bincount`` for the indptr;
-    shared by :class:`RRCollection` and the ad-hoc greedy in
-    :mod:`repro.rrset.node_selection`.
+    ascending set id within each node), CSR over nodes.  One in-place sort
+    of the int64 keys ``member * num_sets + set_id`` groups by node with
+    set ids ascending (the order of a stable argsort by member, at no more
+    peak memory), then ``% num_sets`` recovers the ids; a ``bincount``
+    gives the indptr.  Shared by :class:`RRCollection` and the ad-hoc
+    greedy in :mod:`repro.rrset.node_selection`.
     """
     num_sets = offsets.shape[0] - 1
-    set_ids = np.repeat(
+    idx_sets = np.repeat(
         np.arange(num_sets, dtype=np.int64), np.diff(offsets)
     )
-    order = np.argsort(members, kind="stable")
-    idx_sets = set_ids[order]
+    idx_sets += np.asarray(members, dtype=np.int64) * num_sets
+    idx_sets.sort()
+    idx_sets %= max(num_sets, 1)
     counts = np.bincount(members, minlength=num_nodes)
     idx_indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=idx_indptr[1:])
@@ -139,7 +143,7 @@ def merge_inverted_index(
     delta covers *appended* sets), so per-node concatenation — old entries
     then delta entries — preserves the ascending-id invariant of
     :func:`build_inverted_index`.  Cost is linear in the output: the delta
-    was argsorted on its own, the old entries are copied, never re-sorted.
+    was sorted on its own, the old entries are copied, never re-sorted.
     This is what makes θ-extension of a loaded sketch store (and IMM's
     geometric search generally) cheaper than rebuilding the index from
     scratch at every level.
@@ -259,7 +263,7 @@ class RRCollection:
         self._total_width = 0  # Σ w(R): nodes visited, for time accounting
         # Inverted index (lazy): RR-set ids grouped by node, CSR over nodes.
         # ``_idx_num_sets`` is the prefix of sets the current index covers;
-        # rebuilds past it are incremental (delta argsort + per-node merge).
+        # rebuilds past it are incremental (delta sort + per-node merge).
         self._idx_sets = np.empty(0, dtype=np.int64)
         self._idx_indptr = np.zeros(n + 1, dtype=np.int64)
         self._idx_num_sets = 0
@@ -302,6 +306,9 @@ class RRCollection:
 
     def containing(self, node: int) -> np.ndarray:
         """Ids of RR sets containing ``node`` (read-only view)."""
+        n = self._graph.num_nodes
+        if not 0 <= node < n:
+            raise IndexError(f"node {node} out of range [0, {n})")
         self._ensure_index()
         start = self._idx_indptr[node]
         end = self._idx_indptr[node + 1]
@@ -455,7 +462,7 @@ class RRCollection:
         """Bring the inverted index up to date if new sets arrived.
 
         First build is a full bulk pass; subsequent growth (IMM's geometric
-        levels, θ-extension of a loaded store) argsorts only the appended
+        levels, θ-extension of a loaded store) sorts only the appended
         members and merges them per node, so the amortized cost stays
         linear in the *new* width instead of the total.
         """
@@ -491,7 +498,8 @@ class RRCollection:
 
         Uses an epoch-stamped scratch array instead of allocating a fresh
         boolean mask per call — PRIMA's geometric search calls this in a
-        tight loop on budget switches.
+        tight loop on budget switches.  A seed outside ``[0, n)`` raises
+        ``IndexError``.
         """
         if self.num_sets == 0:
             return 0.0

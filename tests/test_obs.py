@@ -422,14 +422,18 @@ class TestEnginePhaseMetrics:
         obs.enable_tracing()
         obs.clear_finished()
         with obs.span("run"):
-            comic_rr_sketch(
+            state = comic_rr_sketch(
                 random_wc_graph(80, avg_degree=4, seed=3),
                 ComICModel(0.5, 0.8, 0.5, 0.8), 0, (1, 2), 2, 0.5, 1.0,
                 EngineContext.create(seed=4), 2, False,
             )
         (root,) = obs.finished_roots()
         assert [c.name for c in root.children] == [
-            "rrset.kpt", "rrset.node_selection",
+            "rrset.kpt", "rrset.generate_gap", "rrset.node_selection",
         ]
+        kpt, theta, _ = root.children
+        assert kpt.children
+        assert {c.name for c in kpt.children} == {"rrset.generate_gap"}
+        assert theta.attrs == {"count": state.theta, "backend": "batched"}
         for name, count in before.items():
             assert phase.snapshot(phase=name)["count"] == count + 1

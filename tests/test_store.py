@@ -573,6 +573,28 @@ class TestCLI:
                       "--rr-sets", "-1", "--shards", shards])
             assert not path.exists()
 
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    @pytest.mark.parametrize(
+        "bad", [["--rr-sets", "-1"], ["--max-budget", "0"]],
+        ids=["rr-sets", "max-budget"],
+    )
+    def test_bad_build_args_exit_in_one_line(
+        self, cli_env, tmp_path, bad, shards
+    ):
+        graph_path, _ = cli_env
+        path = tmp_path / "bad.sketch"
+        build = subprocess.run(
+            [sys.executable, "-m", "repro", "oracle", "build",
+             "--graph", str(graph_path), "--store", str(path),
+             "--max-budget", "4", "--shards", shards, *bad],
+            capture_output=True, text=True,
+            env={"PYTHONPATH": REPO_SRC, "PATH": "/usr/bin:/bin"},
+        )
+        assert build.returncode != 0
+        assert len(build.stderr.strip().splitlines()) == 1, build.stderr
+        assert build.stderr.startswith("oracle build: ")
+        assert not path.exists()
+
     def test_sharded_build_via_cli(self, cli_env, tmp_path):
         from repro.cli import main
 
