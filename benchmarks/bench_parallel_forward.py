@@ -9,9 +9,12 @@ Comparing pooled against in-process *of the same backend* isolates
 exactly the pool's contribution: both sides run the same batched kernels
 on the same shard streams, so the ratio is pure dispatch economics.
 
-Every pooled measurement **fails loudly if the pool path was not
-exercised** (the ``tasks_dispatched`` counter must grow by the shard
-count).  Rows record ``processes`` and ``effective_cores``.
+Each side's time is the median of ``REPEATS`` calls after one warm-up:
+one call lasts 10–20 ms, and single calls of the same pooled estimate
+read anywhere from 0.85x to 1.6x.  Every pooled measurement **fails
+loudly if the pool path was not exercised** (the ``tasks_dispatched``
+counter must grow by the shard count on every timed call).  Rows record ``processes`` and
+``effective_cores``.
 
 Writes ``BENCH_parallel_forward.json`` at the repository root.  Gates:
 
@@ -29,6 +32,7 @@ Writes ``BENCH_parallel_forward.json`` at the repository root.  Gates:
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -53,6 +57,19 @@ except AttributeError:  # pragma: no cover - non-Linux fallback
     _CORES = os.cpu_count() or 1
 NUM_PROCESSES = max(2, min(8, _CORES))
 
+#: Timed calls per side; the row records their median.
+REPEATS = 5
+
+
+def _median_call(fn):
+    """``fn``'s value and its median wall-clock over REPEATS calls."""
+    seconds = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        value = fn()
+        seconds.append(time.perf_counter() - t0)
+    return value, statistics.median(seconds)
+
 
 def _timed_pooled(fn, shards):
     """Run ``fn`` with the pool at NUM_PROCESSES, assert dispatch, time it."""
@@ -60,15 +77,13 @@ def _timed_pooled(fn, shards):
     pool = get_pool(NUM_PROCESSES)
     fn()  # warm-up: spawn workers + publish the graph outside the timing
     before = pool.tasks_dispatched
-    t0 = time.perf_counter()
-    value = fn()
-    seconds = time.perf_counter() - t0
+    value, seconds = _median_call(fn)
     dispatched = pool.tasks_dispatched - before
-    if dispatched != shards:
+    if dispatched != shards * REPEATS:
         raise AssertionError(
-            f"expected {shards} shard tasks through the pool, saw "
-            f"{dispatched} — the in-process fallback ran, this is not a "
-            "parallel measurement"
+            f"expected {shards * REPEATS} shard tasks through the pool, "
+            f"saw {dispatched} — the in-process fallback ran, this is not "
+            "a parallel measurement"
         )
     shutdown_pool()
     return value, seconds
@@ -77,9 +92,8 @@ def _timed_pooled(fn, shards):
 def _timed_in_process(fn):
     shutdown_pool()
     get_pool(0)
-    t0 = time.perf_counter()
-    value = fn()
-    seconds = time.perf_counter() - t0
+    fn()  # warm-up, as on the pooled side
+    value, seconds = _median_call(fn)
     shutdown_pool()
     return value, seconds
 

@@ -29,7 +29,8 @@ state is a set of flat ``(worlds, n)`` arrays:
   the other item after every first-wave adoption — the same monotone
   fixpoint the sequential deque computes, so final adopter sets match
   realization-for-realization.
-* **UIC** — per-world utility tables (one sampled noise world each), an
+* **UIC** — per-world utility tables (one sampled noise world each; one
+  per (world, node) under the §5 personalized noise, same loop), an
   itemset-mask ``desire``/``adopted`` state per (world, node), live edges
   drawn lazily on first visit — per-source coin flips under the IC fast
   path (:class:`_LiveEdgeLog`), per-*target* trigger sets through the
@@ -44,12 +45,12 @@ state is a set of flat ``(worlds, n)`` arrays:
 **Memory.**  Worlds are processed in chunks sized so the per-chunk state
 (bitmaps, thresholds, live-edge flags) stays within ``_TARGET_BYTES``;
 arbitrarily many worlds stream through a fixed working set, as walks stream
-through the batched RR sampler's sized chunks.  The estimators read only
-per-world totals (:func:`batch_uic_welfare`, :func:`batch_uic_counts`,
-:func:`batch_comic_counts`), so
-no per-node state outlives its chunk; :func:`batch_simulate_uic` and
-:func:`batch_simulate_comic` keep every world's per-node state for the
-tests and the GAP sampler.
+through the batched RR sampler's sized chunks.  The estimators' kernels
+return per-world totals (:func:`batch_uic_welfare`,
+:func:`batch_uic_counts`, :func:`batch_comic_counts`,
+:func:`batch_simulate_uic_personalized`), so no per-node state outlives
+its chunk; :func:`batch_simulate_uic` and :func:`batch_simulate_comic`
+keep every world's per-node state for the tests and the GAP sampler.
 
 **Oracle contract.**  The sequential simulators are kept byte-identical and
 remain the equivalence oracles: for a fixed RNG they reproduce the
@@ -59,10 +60,10 @@ equivalent — same per-world outcome distribution, different realizations.
 Tests pin both: exact agreement on deterministic instances (probability-1
 edges, degenerate GAPs, zero noise) and distributional agreement elsewhere
 (``tests/test_batch_forward.py``).  Backend selection follows the engine
-convention (explicit argument > ``$REPRO_RR_BACKEND`` > batched) at the
-call sites — :func:`repro.diffusion.comic.estimate_comic_spread`,
-:func:`repro.diffusion.welfare.estimate_welfare` and the Com-IC baselines'
-forward-world pass.
+convention (explicit argument > ``$REPRO_RR_BACKEND`` > batched) in the
+forward estimators' shared driver
+(:func:`repro.diffusion.montecarlo.run_worlds`) and in the Com-IC
+baselines' forward-world pass.
 """
 
 from __future__ import annotations
@@ -100,32 +101,6 @@ _TARGET_BYTES = 1 << 26  # 64 MB
 #: the ``3^k`` table construction stops paying for itself and callers fall
 #: back to the sequential simulator (see ``supports_batched_uic``).
 MAX_BATCH_ITEMS = 6
-
-
-def as_generator(rng) -> np.random.Generator:
-    """Coerce ``None`` / integer seed / ``Generator`` into a ``Generator``.
-
-    Integer seeds go through :class:`numpy.random.SeedSequence`, the same
-    root the sequential per-world spawning uses, so an integer seed names
-    one reproducible experiment on either backend.
-    """
-    if rng is None:
-        return np.random.default_rng(0)
-    if isinstance(rng, (int, np.integer)):
-        return np.random.default_rng(np.random.SeedSequence(int(rng)))
-    return rng
-
-
-def spawn_world_rngs(seed: int, num_worlds: int) -> List[np.random.Generator]:
-    """Independent per-world child generators from one integer seed.
-
-    ``SeedSequence.spawn`` guarantees stream independence, so world ``i``'s
-    realization depends only on ``(seed, i)`` — not on how many worlds are
-    sampled around it.  The sequential estimators use these children when
-    handed an integer seed, making CLI runs reproducible world by world.
-    """
-    children = np.random.SeedSequence(int(seed)).spawn(num_worlds)
-    return [np.random.default_rng(child) for child in children]
 
 
 def _world_chunks(num_worlds: int, bytes_per_world: int) -> Iterable[int]:
@@ -598,21 +573,18 @@ def warn_uic_item_cap_fallback(
 ) -> None:
     """Warn that a batched-backend request is degrading to sequential.
 
-    Called by the forward estimators when the resolved backend is
-    ``batched`` but the item universe exceeds :data:`MAX_BATCH_ITEMS` —
-    the one capability gap with a real performance cliff (the ``3^k``
-    decision tables stop paying for themselves, so every world runs the
-    interpreted simulator).  An explicit :class:`UserWarning` beats the
-    previous silent degradation: callers sizing item universes find out
-    *why* their estimate got slow instead of blaming the engine.
+    Called by the UIC estimators on a batched context when the item
+    universe exceeds :data:`MAX_BATCH_ITEMS`, where every world runs the
+    interpreted simulator.  ``stacklevel`` counts from this function, so
+    the warning names the estimator's caller.
     """
     if model.num_items > MAX_BATCH_ITEMS:
         warnings.warn(
             f"batched UIC engine supports at most {MAX_BATCH_ITEMS} items; "
             f"model has {model.num_items} — falling back to the sequential "
             "per-world simulator (expect an order-of-magnitude slowdown). "
-            "Shrink the item universe or pass backend='sequential' to "
-            "silence this warning.",
+            "Shrink the item universe or use a sequential EngineContext "
+            "to silence this warning.",
             UserWarning,
             stacklevel=stacklevel,
         )
@@ -760,6 +732,49 @@ def _seed_masks(
     return desire0
 
 
+class _WorldTables:
+    """One noise world, utility table and decision table per world.
+
+    The base UIC model: every world's tables exist from the chunk's
+    start, so :meth:`ensure` has nothing to draw.
+    """
+
+    __slots__ = ("_tables", "_decision")
+
+    def __init__(self, model, rng, batch, n, noise_world):
+        if noise_world is None:
+            noises = model.noise.sample_batch(rng, batch)
+        else:
+            noises = np.broadcast_to(
+                np.asarray(noise_world, dtype=np.float64),
+                (batch, model.num_items),
+            )
+        self._tables = model.utility_tables(noises)
+        self._decision = _decision_tables(self._tables)
+
+    @staticmethod
+    def chunk_bytes(n: int, size: int) -> int:
+        # desire+adopted masks (16 per node), the live-edge / lazy-trigger
+        # log's bitmap (1 per node), utility and decision tables.
+        return 33 * n + 8 * (size + size * size)
+
+    def ensure(self, rng, w: np.ndarray, v: np.ndarray) -> None:
+        pass
+
+    def decide(self, w, v, desire, adopted) -> np.ndarray:
+        """``adopt`` under each pair's world's noise."""
+        return self._decision[w, desire, adopted]
+
+    def realized_welfare(self, adopted: np.ndarray) -> np.ndarray:
+        """Per-world welfare ``Σ_v U_W(A(v))`` over adopters."""
+        # Zeroed in place: np.where's second (batch, n) float64
+        # temporary made welfare_20k's 2000-world estimate up to 10%
+        # slower.
+        realized = np.take_along_axis(self._tables, adopted, axis=1)
+        realized[adopted == 0] = 0.0
+        return realized.sum(axis=1)
+
+
 def _uic_chunks(
     graph: InfluenceGraph,
     model: UtilityModel,
@@ -768,6 +783,7 @@ def _uic_chunks(
     rng: np.random.Generator,
     noise_world: Optional[NoiseWorld],
     triggering: Optional[TriggeringModel],
+    tables: type = _WorldTables,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Validate a batched UIC run, then return its chunk iterator.
 
@@ -776,6 +792,12 @@ def _uic_chunks(
     the realized welfare of each world.  Chunk sizes depend on the
     arguments alone, never on the consumer, so every consumer of the same
     arguments and stream sees the same worlds.
+
+    ``tables`` is the class of each chunk's adoption tables:
+    :class:`_WorldTables`, or :class:`_PersonalTables` for the §5
+    personalized-noise variant.  The loop only asks them to ``ensure``
+    tables for touched pairs, ``decide`` adoptions and sum the
+    ``realized_welfare``.
     """
     n = graph.num_nodes
     k = model.num_items
@@ -786,7 +808,6 @@ def _uic_chunks(
             f"batched UIC needs <= {MAX_BATCH_ITEMS} items and a "
             "vectorizable triggering model; use the sequential simulator"
         )
-    size = 1 << k
     desire0 = _seed_masks(allocation, n, k)
     seed_nodes = np.flatnonzero(desire0)
 
@@ -794,29 +815,20 @@ def _uic_chunks(
         triggering, IndependentCascadeTriggering
     )
     trigger_csr = None if ic_path else build_trigger_csr(graph, triggering)
-    # Per-world bytes: desire+adopted masks (16 per node), the live-edge /
-    # lazy-trigger log's bitmap (1 per node), utility and decision tables
-    # (8 * (size + size^2)).  The lazy trigger log's member segments scale
-    # with the *reached* neighborhood; chunking budgets their worst case
-    # (every trigger set drawn, ~8 bytes per member, <= 8m per world) so a
-    # full-reach cascade still respects _TARGET_BYTES.  The masks and
-    # decision tables are uint8, an eighth of what this counts; the count
-    # stays because it fixes the chunk sizes and with them the order of
-    # draws, which every seeded estimate reproduces.
-    bytes_per_world = 33 * n + 8 * (size + size * size)
+    # Per-world bytes (``tables.chunk_bytes``) count the uint8 masks and
+    # decision tables as 8 bytes each: the count fixes the chunk sizes
+    # and with them the order of draws, which every seeded estimate
+    # reproduces.  The lazy trigger log's member segments scale with the
+    # *reached* neighborhood; chunking budgets their worst case (every
+    # trigger set drawn, ~8 bytes per member, <= 8m per world) so a
+    # full-reach cascade still respects _TARGET_BYTES.
+    bytes_per_world = tables.chunk_bytes(n, 1 << k)
     if not ic_path:
         bytes_per_world += 8 * graph.num_edges
 
     def run() -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         for batch in _world_chunks(num_worlds, bytes_per_world):
-            if noise_world is not None:
-                noise_worlds = np.broadcast_to(
-                    np.asarray(noise_world, dtype=np.float64), (batch, k)
-                )
-            else:
-                noise_worlds = model.noise.sample_batch(rng, batch)
-            tables = model.utility_tables(noise_worlds)
-            decision = _decision_tables(tables)
+            chunk = tables(model, rng, batch, n, noise_world)
             if ic_path:
                 live_log = _LiveEdgeLog(batch, n)
             else:
@@ -827,16 +839,14 @@ def _uic_chunks(
             # t = 1: seeds desire their allocation and adopt the
             # utility-maximizing subset (rational users, like everyone
             # else).
-            if seed_nodes.size:
-                desire[:, seed_nodes] = desire0[seed_nodes][None, :]
-                adopted[:, seed_nodes] = decision[
-                    np.arange(batch)[:, None], desire0[seed_nodes][None, :], 0
-                ]
-                fw, fn = _seed_frontier(seed_nodes, batch)
-                keep = adopted[fw, fn] != 0
-                fw, fn = fw[keep], fn[keep]
-            else:
-                fw = fn = np.empty(0, dtype=np.int64)
+            fw, fn = _seed_frontier(seed_nodes, batch)
+            desire[fw, fn] = desire0[fn]
+            chunk.ensure(rng, fw, fn)
+            adopted[fw, fn] = chunk.decide(
+                fw, fn, desire0[fn], np.zeros(fw.shape[0], dtype=np.uint8)
+            )
+            keep = adopted[fw, fn] != 0
+            fw, fn = fw[keep], fn[keep]
 
             while fw.size:
                 # Gather each frontier node's live out-targets.
@@ -870,14 +880,14 @@ def _uic_chunks(
                 if tw.size == 0:
                     break
                 desire[tw, tv] = new_desire
+                chunk.ensure(rng, tw, tv)
                 old = adopted[tw, tv]
-                new = decision[tw, new_desire, old]
+                new = chunk.decide(tw, tv, new_desire, old)
                 changed = new != old
                 fw, fn = tw[changed], tv[changed]
                 adopted[fw, fn] = new[changed]
 
-            realized = np.take_along_axis(tables, adopted, axis=1)
-            yield adopted, np.where(adopted > 0, realized, 0.0).sum(axis=1)
+            yield adopted, chunk.realized_welfare(adopted)
 
     return run()
 
@@ -964,6 +974,7 @@ def batch_uic_counts(
     item: Optional[int],
     num_worlds: int,
     rng: np.random.Generator,
+    triggering: Optional[TriggeringModel] = None,
 ) -> np.ndarray:
     """Per-world int64 adopter counts of ``item`` (every item if ``None``).
 
@@ -973,7 +984,9 @@ def batch_uic_counts(
     if item is not None and not 0 <= item < model.num_items:
         raise ValueError(f"item {item} outside the model's {model.num_items} items")
     table = _adoption_table(item)
-    chunks = _uic_chunks(graph, model, allocation, num_worlds, rng, None, None)
+    chunks = _uic_chunks(
+        graph, model, allocation, num_worlds, rng, None, triggering
+    )
     return _uic_per_world(
         chunks, num_worlds, lambda adopted, _: table[adopted].sum(axis=1)
     )
@@ -995,13 +1008,25 @@ class _PersonalTables:
 
     __slots__ = ("_model", "_row", "_tables", "_decision", "_used")
 
-    def __init__(self, model: UtilityModel, batch: int, n: int):
+    def __init__(self, model, rng, batch, n, noise_world):
+        # Nothing is drawn up front and no noise is shared, so ``rng``
+        # and ``noise_world`` (always ``None``) go unused.
         size = 1 << model.num_items
         self._model = model
         self._row = np.full((batch, n), -1, dtype=np.int64)
         self._tables = np.empty((16, size), dtype=np.float64)
         self._decision = np.empty((16, size, size), dtype=np.uint8)
         self._used = 0
+
+    @staticmethod
+    def chunk_bytes(n: int, size: int) -> int:
+        # desire/adopted masks + the row map (8 each per node) + the
+        # live-edge log's bitmap, plus the per-pair tables budgeted as if
+        # every node were touched, so a full-reach cascade cannot blow
+        # past _TARGET_BYTES (k = 2, the paper's personalized setting,
+        # still batches hundreds of worlds).  The tables grow on demand,
+        # so light-reach cascades never allocate the worst case.
+        return (25 + 8 * (size + size * size)) * n
 
     def ensure(
         self, rng: np.random.Generator, w: np.ndarray, v: np.ndarray
@@ -1061,83 +1086,18 @@ def batch_simulate_uic_personalized(
     num_worlds: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Simulate ``num_worlds`` personalized-noise UIC worlds at once.
+    """Per-world welfare of ``num_worlds`` personalized-noise UIC worlds.
 
     The batched twin of :func:`repro.diffusion.personalized.
-    simulate_uic_personalized`: every (world, node) pair draws its own
-    noise world lazily on first contact (see :class:`_PersonalTables`),
-    live edges follow the lazy first-visit IC log, and the propagation
-    loop is the flat-frontier scheme of :func:`batch_simulate_uic`.
-    Returns the per-world realized welfare array (the quantity the
-    personalized-noise ablation estimates); outcome distributions match
-    the sequential simulator's world for world.
+    simulate_uic_personalized`: the worlds run through the UIC chunk
+    loop with :class:`_PersonalTables`, so every (world, node) pair draws
+    its own noise world lazily on first contact, and live edges follow
+    the lazy first-visit IC log.  Returns the per-world realized welfare
+    (the quantity the personalized-noise ablation estimates); outcome
+    distributions match the sequential simulator's world for world.
     """
-    n = graph.num_nodes
-    k = model.num_items
-    if num_worlds < 0:
-        raise ValueError(f"num_worlds must be non-negative, got {num_worlds}")
-    if k > MAX_BATCH_ITEMS:
-        raise ValueError(
-            f"batched personalized UIC needs <= {MAX_BATCH_ITEMS} items; "
-            "use the sequential simulator"
-        )
-    desire0 = _seed_masks(allocation, n, k)
-    seed_nodes = np.flatnonzero(desire0)
-
-    welfare_out = np.zeros(num_worlds, dtype=np.float64)
-    if num_worlds == 0 or seed_nodes.size == 0:
-        return welfare_out
-
-    # Per-world bytes: desire/adopted masks + the personal-table row map
-    # (8 each per node) + the live-edge log's expanded bitmap, plus the
-    # worst case of the lazily sampled per-pair tables — 8 * (2^k + 4^k)
-    # bytes per *touched* (world, node) pair, budgeted as if every node
-    # were touched so a full-reach cascade cannot blow past
-    # ``_TARGET_BYTES``.  Large item universes therefore shrink the chunk
-    # (k = 2, the paper's personalized setting, still batches hundreds of
-    # worlds); the tables array itself grows on demand, so light-reach
-    # cascades never actually allocate the worst case.  The masks and
-    # decision tables are uint8, but the count keeps 8 bytes for them: it
-    # fixes the chunk sizes and with them the order of draws.
-    size = 1 << k
-    bytes_per_world = (25 + 8 * (size + size * size)) * n
-    done = 0
-    while done < num_worlds:
-        batch = next(iter(_world_chunks(num_worlds - done, bytes_per_world)))
-        live_log = _LiveEdgeLog(batch, n)
-        personal = _PersonalTables(model, batch, n)
-        desire = np.zeros((batch, n), dtype=np.uint8)
-        adopted = np.zeros((batch, n), dtype=np.uint8)
-
-        fw, fn = _seed_frontier(seed_nodes, batch)
-        desire[fw, fn] = desire0[fn]
-        personal.ensure(rng, fw, fn)
-        adopted[fw, fn] = personal.decide(
-            fw, fn, desire0[fn], np.zeros(fw.shape[0], dtype=np.uint8)
-        )
-        keep = adopted[fw, fn] != 0
-        fw, fn = fw[keep], fn[keep]
-
-        while fw.size:
-            entry, t = live_log.live_targets(graph, rng, fw, fn)
-            if entry.size == 0:
-                break
-            tw, tv, incoming = _or_by_pair(
-                fw[entry], t, adopted[fw, fn][entry], n
-            )
-            new_desire = desire[tw, tv] | incoming
-            grew = new_desire != desire[tw, tv]
-            tw, tv, new_desire = tw[grew], tv[grew], new_desire[grew]
-            if tw.size == 0:
-                break
-            desire[tw, tv] = new_desire
-            personal.ensure(rng, tw, tv)
-            old = adopted[tw, tv]
-            new = personal.decide(tw, tv, new_desire, old)
-            changed = new != old
-            fw, fn = tw[changed], tv[changed]
-            adopted[fw, fn] = new[changed]
-
-        welfare_out[done : done + batch] = personal.realized_welfare(adopted)
-        done += batch
-    return welfare_out
+    chunks = _uic_chunks(
+        graph, model, allocation, num_worlds, rng, None, None,
+        _PersonalTables,
+    )
+    return _uic_per_world(chunks, num_worlds, lambda _, welfare: welfare)

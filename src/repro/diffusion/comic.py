@@ -17,16 +17,20 @@ usual IC live-edge semantics.
 
 This module exists for the RR-SIM+/RR-CIM baselines (§4.3.1.2) and for
 verifying the paper's GAP ↔ utility correspondence (Eq. 12) by simulation.
+:func:`estimate_comic_spread` runs its worlds through the forward
+estimators' shared driver (:mod:`repro.diffusion.montecarlo`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.diffusion.montecarlo import require_ic, run_worlds
 from repro.graph.digraph import InfluenceGraph
 
 ITEM_A, ITEM_B = 0, 1
@@ -182,59 +186,38 @@ def estimate_comic_spread(
 
     ``rng`` may be a ``numpy.random.Generator``, an integer seed, or
     ``None`` (seed 0).  Integer seeds are expanded through
-    ``SeedSequence`` — the sequential backend spawns one child stream per
-    world, so world ``i``'s realization depends only on ``(seed, i)``;
-    the batched backend derives its single vectorized stream from the same
-    root.  Either way a CLI-supplied integer names one reproducible
-    estimate per backend.
-
-    The context's backend picks the forward engine: ``sequential`` — one
-    :func:`simulate_comic` per world, the historical byte-identical path
-    when handed a ``Generator`` —, ``batched`` —
-    :func:`repro.diffusion.batch_forward.batch_comic_counts`, all worlds
-    at once —, or ``parallel`` — the worlds sharded over the persistent
-    worker pool, each shard a batched run seeded from its own
-    ``SeedSequence`` child.  The removed legacy ``backend=`` keyword
-    raises ``TypeError``.
+    ``SeedSequence``, so a CLI-supplied integer names one reproducible
+    estimate per backend.  The context's backend picks the forward engine
+    (:func:`repro.diffusion.montecarlo.run_worlds`): one
+    :func:`simulate_comic` per world (the historical byte-identical path
+    when handed a ``Generator``), or
+    :func:`repro.diffusion.batch_forward.batch_comic_counts` on all worlds
+    at once or on pooled shards.  Com-IC edges are IC's: a context
+    carrying another triggering model raises ``ValueError``.  The removed
+    legacy ``backend=`` keyword raises ``TypeError``.
     """
     from repro.diffusion.batch_forward import batch_comic_counts
     from repro.engine import ensure_context
 
-    if num_samples <= 0:
-        raise ValueError(f"num_samples must be positive, got {num_samples}")
     check_item(item)
     ctx = ensure_context(
         ctx, backend=backend, rng=rng, caller="estimate_comic_spread"
     )
-    parallel = ctx.is_parallel
-    if parallel and not ctx.has_lineage:
-        from repro.parallel import lineage_fallback
-
-        lineage_fallback("estimate_comic_spread")
-        parallel = False
-    if parallel:
-        from repro.parallel import run_forward_shards
-
-        values = run_forward_shards(
-            "comic_spread_shard",
-            graph,
-            ctx,
-            num_samples,
-            (model, tuple(seeds_a), tuple(seeds_b), item),
-        )
-        return float(values.mean())
-    if ctx.is_batched:
-        return float(
-            batch_comic_counts(
-                graph, model, seeds_a, seeds_b, item, num_samples, ctx.rng
-            ).mean()
-        )
-    world_rngs = (
-        ctx.spawn_generators(num_samples) if ctx.has_lineage else None
+    require_ic(ctx, "estimate_comic_spread")
+    seeds_a, seeds_b = tuple(seeds_a), tuple(seeds_b)
+    kernel = partial(
+        batch_comic_counts,
+        model=model,
+        seeds_a=seeds_a,
+        seeds_b=seeds_b,
+        item=item,
     )
-    total = 0
-    for i in range(num_samples):
-        world_rng = world_rngs[i] if world_rngs is not None else ctx.rng
-        result = simulate_comic(graph, model, seeds_a, seeds_b, world_rng)
-        total += len(result.adopters_of(item))
-    return total / num_samples
+
+    def simulate(rng) -> int:
+        result = simulate_comic(graph, model, seeds_a, seeds_b, rng)
+        return len(result.adopters_of(item))
+
+    values = run_worlds(
+        graph, ctx, num_samples, "diffusion.comic_spread", kernel, simulate
+    )
+    return float(values.mean())

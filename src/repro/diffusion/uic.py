@@ -20,7 +20,7 @@ deterministic replays (used by the reachability tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -91,7 +91,29 @@ def simulate_uic(
     if noise_world is None:
         noise_world = model.sample_noise_world(rng)
     utility_table = model.utility_table(noise_world)
+    return propagate_uic(
+        graph, model, allocation, rng, lambda v: utility_table,
+        noise_world, edge_world,
+    )
 
+
+def propagate_uic(
+    graph: InfluenceGraph,
+    model: UtilityModel,
+    allocation: Iterable[Tuple[int, int]],
+    rng: np.random.Generator,
+    table_of: Callable[[int], np.ndarray],
+    noise_world: NoiseWorld,
+    edge_world: Optional[LiveEdgeGraph] = None,
+) -> UICResult:
+    """One world's UIC dynamics, node ``v`` deciding with ``table_of(v)``.
+
+    :func:`simulate_uic` hands every node the world's one utility table;
+    the §5 personalized variant
+    (:func:`repro.diffusion.personalized.simulate_uic_personalized`)
+    hands each node its own, drawn on first use.  ``noise_world`` is
+    only reported in the result.
+    """
     desire: Dict[int, Mask] = {}
     adopted: Dict[int, Mask] = {}
 
@@ -107,7 +129,7 @@ def simulate_uic(
 
     frontier: List[int] = []
     for node, wish in desire.items():
-        new_adopted = adopt(utility_table, wish, 0)
+        new_adopted = adopt(table_of(node), wish, 0)
         if new_adopted:
             adopted[node] = new_adopted
             frontier.append(node)
@@ -156,15 +178,13 @@ def simulate_uic(
                 continue
             desire[v] = new_desire
             old_adopted = adopted.get(v, 0)
-            new_adopted = adopt(utility_table, new_desire, old_adopted)
+            new_adopted = adopt(table_of(v), new_desire, old_adopted)
             if new_adopted != old_adopted:
                 adopted[v] = new_adopted
                 next_frontier.append(v)
         frontier = next_frontier
 
-    welfare = float(
-        sum(utility_table[mask] for mask in adopted.values())
-    )
+    welfare = float(sum(table_of(v)[mask] for v, mask in adopted.items()))
     return UICResult(
         desire=desire,
         adopted=adopted,

@@ -89,43 +89,44 @@ def forward_shard_counts(num_samples: int) -> List[int]:
 
 
 def lineage_fallback(caller: str) -> None:
-    """Warn that a lineage-less parallel context degrades to batched."""
+    """Warn that a lineage-less parallel context degrades to batched.
+
+    Called by the forward driver
+    (:func:`repro.diffusion.montecarlo.run_worlds`), so the warning skips
+    the driver's and the estimator's frames and names the estimator's
+    caller.
+    """
     warnings.warn(
         LINEAGE_FALLBACK_MESSAGE.format(caller=caller),
         UserWarning,
-        stacklevel=3,
+        stacklevel=4,
     )
 
 
 def run_forward_shards(
-    task: str,
     graph,
     ctx,
     num_samples: int,
-    rest: tuple,
+    kernel,
     *,
-    triggering=None,
     processes: Optional[int] = None,
 ) -> np.ndarray:
     """Fan one forward estimate's worlds over the pool; concatenated values.
 
     Shards the ``num_samples`` worlds with :func:`forward_shard_counts`,
     seeds shard ``i`` from the context lineage's next ``SeedSequence``
-    children, and runs ``task`` (a per-world-array task from
-    :mod:`repro.parallel.tasks`) on every shard.  The concatenation is in
-    shard order, so downstream means/stderrs see one well-defined sample.
+    children, and runs the ``forward_shard`` task on every shard: the
+    estimator's batched ``kernel`` (a picklable ``functools.partial``,
+    shipped inside each job) called as ``kernel(graph, num_worlds=,
+    rng=)``.  The concatenation is in shard order, so downstream
+    means/stderrs see one well-defined sample.
     """
     counts = forward_shard_counts(num_samples)
     children = ctx.seed_seq.spawn(len(counts))
-    jobs = [
-        (child, count) + tuple(rest)
-        for child, count in zip(children, counts)
-    ]
+    jobs = [(child, count, kernel) for child, count in zip(children, counts)]
     with obs.span(
-        "parallel.forward", task=task, samples=int(num_samples),
-        shards=len(counts),
+        "parallel.forward", kernel=kernel.func.__name__,
+        samples=int(num_samples), shards=len(counts),
     ):
-        parts = get_pool(processes).map_shards(
-            task, graph, jobs, triggering=triggering
-        )
+        parts = get_pool(processes).map_shards("forward_shard", graph, jobs)
     return np.concatenate(parts)

@@ -17,7 +17,8 @@ Dispatch contract (:meth:`WorkerPool.map_shards`):
   results deterministic in ``(seed, num_shards)`` and independent of the
   worker count.
 * multi-process dispatches regroup *consecutive* micro-shards into
-  fewer, larger submissions using per-task wall-clock feedback
+  fewer, larger submissions using per-task (per-kernel, for forward
+  shards) wall-clock feedback
   (:class:`_AdaptiveSharder`, tunable via ``$REPRO_SHARD_TARGET_MS``).
   Grouping changes only which worker runs a micro-shard — every
   micro-shard keeps its own arguments and seed — so results stay
@@ -180,6 +181,16 @@ def _job_worlds(job: tuple) -> int:
     return 1
 
 
+def _history_key(task: str, job: tuple) -> str:
+    """The sharder's history key: the task, plus a forward job's kernel.
+
+    Forward kernels differ by orders of magnitude in seconds per world.
+    """
+    if task != "forward_shard":
+        return task
+    return f"{task}:{job[-1].func.__name__}"
+
+
 class _AdaptiveSharder:
     """Wall-clock feedback → how many micro-shards to ship per task.
 
@@ -189,7 +200,8 @@ class _AdaptiveSharder:
     micro-shard lasts microseconds and IPC dominates; on a web-scale
     graph one micro-shard alone can run for seconds.  This class keeps an
     exponentially-weighted average of observed seconds-per-world for each
-    task and greedily packs *consecutive* micro-shards into dispatch
+    task (each kernel, for forward shards: see :func:`_history_key`) and
+    greedily packs *consecutive* micro-shards into dispatch
     groups that each land near the target wall-clock.  Grouping only
     changes which process executes a micro-shard, never its arguments or
     its seed — each group replays its members one by one — so results are
@@ -200,15 +212,15 @@ class _AdaptiveSharder:
     _GAIN = 0.3
 
     def __init__(self) -> None:
-        self._rate: Dict[str, float] = {}  # task -> EWMA seconds per world
+        self._rate: Dict[str, float] = {}  # key -> EWMA seconds per world
 
-    def observe(self, task: str, worlds: int, seconds: float) -> None:
+    def observe(self, key: str, worlds: int, seconds: float) -> None:
         """Feed one executed micro-shard's wall-clock back in."""
         if worlds <= 0 or seconds <= 0.0:
             return
         rate = seconds / worlds
-        prev = self._rate.get(task)
-        self._rate[task] = (
+        prev = self._rate.get(key)
+        self._rate[key] = (
             rate
             if prev is None
             else prev + self._GAIN * (rate - prev)
@@ -216,7 +228,7 @@ class _AdaptiveSharder:
 
     def plan(
         self,
-        task: str,
+        key: str,
         jobs: Sequence[tuple],
         processes: int,
         target_seconds: float,
@@ -228,7 +240,7 @@ class _AdaptiveSharder:
         never exceeds ``ceil(len(jobs) / processes)`` members, so the
         pool always has at least ``processes`` groups to load-balance.
         """
-        rate = self._rate.get(task)
+        rate = self._rate.get(key)
         if rate is None or rate <= 0.0 or target_seconds <= 0.0:
             return [[index] for index in range(len(jobs))]
         max_members = -(-len(jobs) // max(processes, 1))
@@ -385,8 +397,9 @@ class WorkerPool:
                     results.append(fn(graph, trigger_csr, *job))
             return results
 
+        key = _history_key(task, jobs[0])
         groups = self._sharder.plan(
-            task, jobs, self._processes, shard_target_seconds()
+            key, jobs, self._processes, shard_target_seconds()
         )
 
         def _payloads(spec):
@@ -455,7 +468,7 @@ class WorkerPool:
                 index = group[0]
                 ordered[index] = result
                 self._sharder.observe(
-                    task, _job_worlds(jobs[index]), seconds
+                    key, _job_worlds(jobs[index]), seconds
                 )
             else:
                 sub_results, sub_seconds = result
@@ -464,7 +477,7 @@ class WorkerPool:
                 ):
                     ordered[index] = sub_result
                     self._sharder.observe(
-                        task, _job_worlds(jobs[index]), sub_sec
+                        key, _job_worlds(jobs[index]), sub_sec
                     )
         return ordered
 

@@ -14,9 +14,9 @@ graph arrives), results are byte-for-byte independent of *where* the
 shard ran: the pooled and in-process paths are interchangeable, which is
 the determinism contract ``processes ∈ {0, 2, 4}`` tests pin.
 
-The reverse task samples RR sets through :class:`RRCollection`; the
-forward tasks run the existing batched Monte-Carlo kernels on their slice
-of the worlds.  Nothing here spawns further parallelism.
+The reverse task samples RR sets through :class:`RRCollection`; the one
+forward task runs whichever batched Monte-Carlo kernel its job carries on
+its slice of the worlds.  Nothing here spawns further parallelism.
 """
 
 from __future__ import annotations
@@ -57,93 +57,22 @@ def rr_shard(
     return members.copy(), np.diff(offsets)
 
 
-def uic_welfare_shard(
+def forward_shard(
     graph,
     trigger_csr,
     seed_seq: np.random.SeedSequence,
     count: int,
-    model,
-    allocation,
-    noise_world,
-    triggering,
+    kernel,
 ) -> np.ndarray:
-    """Per-world welfare of ``count`` UIC worlds (batched kernels)."""
-    from repro.diffusion.batch_forward import batch_uic_welfare
+    """Per-world values of ``count`` forward worlds from this shard's seed.
 
-    return batch_uic_welfare(
-        graph,
-        model,
-        list(allocation),
-        count,
-        np.random.default_rng(seed_seq),
-        noise_world=noise_world,
-        triggering=triggering,
-    )
-
-
-def uic_adoption_shard(
-    graph,
-    trigger_csr,
-    seed_seq: np.random.SeedSequence,
-    count: int,
-    model,
-    allocation,
-    item,
-) -> np.ndarray:
-    """Per-world adoption counts of ``count`` UIC worlds."""
-    from repro.diffusion.batch_forward import batch_uic_counts
-
-    return batch_uic_counts(
-        graph,
-        model,
-        list(allocation),
-        item,
-        count,
-        np.random.default_rng(seed_seq),
-    ).astype(np.float64)
-
-
-def comic_spread_shard(
-    graph,
-    trigger_csr,
-    seed_seq: np.random.SeedSequence,
-    count: int,
-    model,
-    seeds_a,
-    seeds_b,
-    item,
-) -> np.ndarray:
-    """Per-world adopter counts of ``count`` Com-IC worlds."""
-    from repro.diffusion.batch_forward import batch_comic_counts
-
-    return batch_comic_counts(
-        graph,
-        model,
-        seeds_a,
-        seeds_b,
-        item,
-        count,
-        np.random.default_rng(seed_seq),
-    ).astype(np.float64)
-
-
-def personalized_welfare_shard(
-    graph,
-    trigger_csr,
-    seed_seq: np.random.SeedSequence,
-    count: int,
-    model,
-    allocation,
-) -> np.ndarray:
-    """Per-world personalized-noise welfare of ``count`` UIC worlds."""
-    from repro.diffusion.batch_forward import batch_simulate_uic_personalized
-
-    return batch_simulate_uic_personalized(
-        graph,
-        model,
-        list(allocation),
-        count,
-        np.random.default_rng(seed_seq),
+    ``kernel`` is the estimator's batched Monte-Carlo kernel, shipped in
+    the job: a ``functools.partial`` of ``batch_uic_welfare``,
+    ``batch_uic_counts``, ``batch_comic_counts`` or
+    ``batch_simulate_uic_personalized`` holding every model argument.
+    """
+    return kernel(
+        graph, num_worlds=count, rng=np.random.default_rng(seed_seq)
     )
 
 
@@ -194,10 +123,7 @@ TASKS = {
     fn.__name__: fn
     for fn in (
         rr_shard,
-        uic_welfare_shard,
-        uic_adoption_shard,
-        comic_spread_shard,
-        personalized_welfare_shard,
+        forward_shard,
         grouped_shards,
         _kill_worker,
     )

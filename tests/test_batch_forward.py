@@ -20,14 +20,12 @@ from repro.diffusion.adoption import adopt
 from repro.diffusion.batch_forward import (
     MAX_BATCH_ITEMS,
     _decision_tables,
-    as_generator,
     batch_comic_counts,
     batch_simulate_comic,
     batch_simulate_ic,
     batch_simulate_uic,
     batch_uic_counts,
     batch_uic_welfare,
-    spawn_world_rngs,
     supports_batched_uic,
 )
 from repro.diffusion.comic import (
@@ -52,6 +50,7 @@ from repro.engine import EngineContext
 from repro.experiments.configs import multi_item_config
 from repro.graph.digraph import InfluenceGraph
 from repro.graph.generators import line_graph, random_wc_graph, star_graph
+from repro.parallel import get_pool, shutdown_pool
 from repro.rrset.batch import supports_batched
 from repro.rrset.rrgen import RRCollection
 from repro.utility.model import UtilityModel
@@ -212,17 +211,12 @@ class TestEstimateComicSpreadSeeds:
             wc400, GAP, [1, 2], [3], item=0, num_samples=10, ctx=_ctx("sequential", 7),
         )
         total = 0
-        for world_rng in spawn_world_rngs(7, 10):
+        for child in np.random.SeedSequence(7).spawn(10):
+            world_rng = np.random.default_rng(child)
             total += len(
                 simulate_comic(wc400, GAP, [1, 2], [3], world_rng).adopted_a
             )
         assert estimate == total / 10
-
-    def test_as_generator_coercions(self):
-        assert isinstance(as_generator(None), np.random.Generator)
-        assert isinstance(as_generator(5), np.random.Generator)
-        gen = np.random.default_rng(0)
-        assert as_generator(gen) is gen
 
 
 class TestBatchUIC:
@@ -598,6 +592,84 @@ class TestForwardUnderTriggering:
         assert abs(batched.mean - sequential.mean) < 5.0 * sigma
 
 
+    # Node 2's in-weights (0.5 from each seed) sum to 1, so under LT it
+    # always picks an adopting seed; under IC it misses both w.p. 1/4.
+    @pytest.mark.parametrize("backend", ["sequential", "batched", "parallel"])
+    def test_adoption_honours_the_context_triggering(
+        self, backend, deterministic_two_item_model
+    ):
+        graph = InfluenceGraph(3, [(0, 2, 0.5), (1, 2, 0.5)])
+        get_pool(0)
+        try:
+            est = estimate_adoption(
+                graph, deterministic_two_item_model, [(0, 0), (1, 0)],
+                num_samples=64, item=0,
+                ctx=EngineContext.create(
+                    backend=backend, seed=3, triggering="lt"
+                ),
+            )
+        finally:
+            shutdown_pool()
+        assert est.mean == pytest.approx(3.0)
+        assert est.stderr == 0.0
+
+    def test_uic_counts_sample_the_triggering_model(self, two_item_model):
+        graph = random_wc_graph(200, 5, seed=12)
+        alloc = [(v, v % 2) for v in range(6)]
+        lt = LinearThresholdTriggering()
+        counts = batch_uic_counts(
+            graph, two_item_model, alloc, None, 30,
+            np.random.default_rng(4), triggering=lt,
+        )
+        masks = batch_simulate_uic(
+            graph, two_item_model, alloc, 30, np.random.default_rng(4),
+            triggering=lt,
+        )
+        assert np.array_equal(counts, masks.adopter_counts(None))
+
+    @pytest.mark.parametrize(
+        "triggering",
+        [LinearThresholdTriggering(), AttentionICTriggering(max_attention=2)],
+        ids=["lt", "attention"],
+    )
+    def test_ic_only_estimators_reject_other_models(
+        self, wc400, two_item_model, triggering
+    ):
+        name = type(triggering).__name__
+        with pytest.raises(ValueError, match=name):
+            estimate_comic_spread(
+                wc400, GAP, [1], [2], item=0, num_samples=4,
+                ctx=EngineContext.create(seed=1, triggering=triggering),
+            )
+        with pytest.raises(ValueError, match=name):
+            estimate_welfare_personalized(
+                wc400, two_item_model, [(0, 0)], num_samples=4,
+                ctx=EngineContext.create(seed=1, triggering=triggering),
+            )
+
+    def test_ic_only_estimators_run_ic_triggering_as_ic(
+        self, wc400, two_item_model
+    ):
+        def ctx(triggering):
+            return EngineContext.create(seed=1, triggering=triggering)
+
+        spreads = [
+            estimate_comic_spread(
+                wc400, GAP, [1], [2], item=0, num_samples=8, ctx=ctx(trig)
+            )
+            for trig in ("ic", None)
+        ]
+        assert spreads[0] == spreads[1]
+        welfares = [
+            estimate_welfare_personalized(
+                wc400, two_item_model, [(0, 0)], num_samples=8,
+                ctx=ctx(trig),
+            )
+            for trig in ("ic", None)
+        ]
+        assert welfares[0] == welfares[1]
+
+
 class TestGenericTriggeringRRSets:
     def test_supports_batched_covers_distribution_models(self):
         """Regression pin: generic triggering models with an explicit
@@ -863,3 +935,48 @@ class TestItemValidation:
                 wc400, two_item_model, [(0, 0)], item, 4,
                 np.random.default_rng(0),
             )
+
+
+#: Every forward estimator as ``run(graph, uic_model, ctx)``.
+_ESTIMATORS = {
+    "welfare": lambda graph, model, ctx: estimate_welfare(
+        graph, model, [(0, 0)], num_samples=4, ctx=ctx
+    ),
+    "adoption": lambda graph, model, ctx: estimate_adoption(
+        graph, model, [(0, 0)], num_samples=4, ctx=ctx
+    ),
+    "comic_spread": lambda graph, model, ctx: estimate_comic_spread(
+        graph, GAP, [0], [1], item=0, num_samples=4, ctx=ctx
+    ),
+    "welfare_personalized": lambda graph, model, ctx: (
+        estimate_welfare_personalized(
+            graph, model, [(0, 0)], num_samples=4, ctx=ctx
+        )
+    ),
+}
+
+
+class TestFallbackWarningsNameTheCaller:
+    """A fallback warning points at the line that called the estimator."""
+
+    @pytest.mark.parametrize("name", sorted(_ESTIMATORS))
+    def test_lineage_fallback(self, wc400, two_item_model, name):
+        ctx = _ctx("parallel", np.random.default_rng(0))
+        with pytest.warns(UserWarning, match="no integer-seed lineage") as got:
+            _ESTIMATORS[name](wc400, two_item_model, ctx)
+        assert [w.filename for w in got] == [__file__]
+
+    @pytest.mark.parametrize(
+        "name", ["adoption", "welfare", "welfare_personalized"]
+    )
+    def test_item_cap_fallback(self, name):
+        k = MAX_BATCH_ITEMS + 1
+        model = UtilityModel(
+            AdditiveValuation([1.0] * k),
+            AdditivePrice([0.5] * k),
+            ZeroNoise(k),
+        )
+        ctx = _ctx("batched", np.random.default_rng(1))
+        with pytest.warns(UserWarning, match="at most") as got:
+            _ESTIMATORS[name](line_graph(4, 1.0), model, ctx)
+        assert [w.filename for w in got] == [__file__]

@@ -285,18 +285,42 @@ class TestByteIdentity:
         assert untraced.stderr == baseline.stderr
 
 
+def _every_estimator(graph, model, backend: str, samples: int) -> None:
+    """Run each of the four forward estimators once on ``backend``."""
+    from repro.diffusion.comic import ComICModel, estimate_comic_spread
+    from repro.diffusion.personalized import estimate_welfare_personalized
+    from repro.diffusion.welfare import estimate_adoption
+
+    def ctx():
+        return EngineContext.create(backend=backend, seed=2)
+
+    alloc = [(0, 0), (1, 1)]
+    estimate_welfare(graph, model, alloc, num_samples=samples, ctx=ctx())
+    estimate_adoption(graph, model, alloc, num_samples=samples, ctx=ctx())
+    estimate_comic_spread(
+        graph, ComICModel(0.5, 0.8, 0.5, 0.8), [0], [1], item=0,
+        num_samples=samples, ctx=ctx(),
+    )
+    estimate_welfare_personalized(
+        graph, model, alloc, num_samples=samples, ctx=ctx()
+    )
+
+
 class TestForwardChunkSpan:
     def test_batched_estimators_record_their_chunking(
         self, graph, config1_model, monkeypatch
     ):
         """The totals path shows how many chunks a forward estimate ran."""
         from repro.diffusion import batch_forward
+        from repro.diffusion.personalized import estimate_welfare_personalized
         from repro.diffusion.welfare import estimate_adoption
 
         monkeypatch.setattr(batch_forward, "_TARGET_BYTES", 1 << 16)
         obs.enable_tracing()
         obs.clear_finished()
-        for estimator in (estimate_welfare, estimate_adoption):
+        for estimator in (
+            estimate_welfare, estimate_adoption, estimate_welfare_personalized
+        ):
             estimator(
                 graph,
                 config1_model,
@@ -307,6 +331,7 @@ class TestForwardChunkSpan:
         roots = obs.finished_roots()
         assert [r.name for r in roots] == [
             "diffusion.welfare", "diffusion.adoption",
+            "diffusion.welfare_personalized",
         ]
         for root in roots:
             (chunked,) = root.children
@@ -316,6 +341,21 @@ class TestForwardChunkSpan:
             assert attrs["chunks"] >= 3
             assert 1 < attrs["worlds_per_chunk"] < 40
             assert attrs["chunks"] == -(-40 // attrs["worlds_per_chunk"])
+
+    @pytest.mark.parametrize("backend", ["sequential", "batched"])
+    def test_every_estimator_opens_its_span(
+        self, graph, config1_model, backend
+    ):
+        obs.enable_tracing()
+        obs.clear_finished()
+        _every_estimator(graph, config1_model, backend, samples=6)
+        roots = obs.finished_roots()
+        assert [r.name for r in roots] == [
+            "diffusion.welfare", "diffusion.adoption",
+            "diffusion.comic_spread", "diffusion.welfare_personalized",
+        ]
+        for root in roots:
+            assert root.attrs == {"engine": backend, "samples": 6}
 
 
 class TestPooledSpanTree:
@@ -395,20 +435,16 @@ class TestEnginePhaseMetrics:
     def test_forward_estimate_feeds_shared_phase_histogram(
         self, graph, config1_model
     ):
+        """Every forward estimator, on either in-process backend."""
         phase = obs.REGISTRY.get("repro_engine_phase_seconds")
         assert phase is not None
-        before = phase.snapshot(phase="forward")["count"]
         worlds = obs.REGISTRY.get("repro_forward_worlds_total")
-        worlds_before = worlds.value(engine="batched")
-        estimate_welfare(
-            graph,
-            config1_model,
-            [(0, 0)],
-            num_samples=16,
-            ctx=EngineContext.create(seed=1),
-        )
-        assert phase.snapshot(phase="forward")["count"] == before + 1
-        assert worlds.value(engine="batched") == worlds_before + 16
+        for backend in ("sequential", "batched"):
+            before = phase.snapshot(phase="forward")["count"]
+            worlds_before = worlds.value(engine=backend)
+            _every_estimator(graph, config1_model, backend, samples=16)
+            assert phase.snapshot(phase="forward")["count"] == before + 4
+            assert worlds.value(engine=backend) == worlds_before + 4 * 16
 
     def test_comic_sketch_reports_kpt_and_selection(self):
         from repro.baselines._comic_common import comic_rr_sketch

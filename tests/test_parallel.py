@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.diffusion.comic import ComICModel, estimate_comic_spread
+from repro.diffusion.personalized import estimate_welfare_personalized
 from repro.diffusion.welfare import estimate_adoption, estimate_welfare
 from repro.engine import BACKENDS, EngineContext
 from repro.graph.generators import random_wc_graph
@@ -59,6 +60,26 @@ def fresh_pool():
 @pytest.fixture
 def graph():
     return random_wc_graph(200, avg_degree=5, seed=31)
+
+
+#: Every forward estimator at 48 worlds, as ``run(graph, uic_model, ctx)``.
+FORWARD_ESTIMATORS = {
+    "welfare": lambda graph, model, ctx: estimate_welfare(
+        graph, model, [(0, 0), (1, 1)], num_samples=48, ctx=ctx
+    ),
+    "adoption": lambda graph, model, ctx: estimate_adoption(
+        graph, model, [(0, 0), (1, 1)], num_samples=48, ctx=ctx
+    ),
+    "comic_spread": lambda graph, model, ctx: estimate_comic_spread(
+        graph, ComICModel(0.2, 0.6, 0.2, 0.6), [0, 1], [2, 3], item=0,
+        num_samples=48, ctx=ctx,
+    ),
+    "welfare_personalized": lambda graph, model, ctx: (
+        estimate_welfare_personalized(
+            graph, model, [(0, 0), (1, 1)], num_samples=48, ctx=ctx
+        )
+    ),
+}
 
 
 class TestShardCounts:
@@ -112,24 +133,25 @@ class TestDeterminism:
         assert np.array_equal(serial.seed_order, pooled.seed_order)
 
     @pytest.mark.parametrize("processes", [2, 4])
+    @pytest.mark.parametrize("estimator", sorted(FORWARD_ESTIMATORS))
     def test_forward_welfare_identical(
-        self, graph, config1_model, processes
+        self, graph, config1_model, estimator, processes
     ):
+        """Every estimator's pooled shards equal its in-process shards."""
+
         def run():
-            return estimate_welfare(
+            return FORWARD_ESTIMATORS[estimator](
                 graph,
                 config1_model,
-                [(0, 0), (1, 1)],
-                num_samples=48,
-                ctx=EngineContext.create(backend="parallel", seed=5),
+                EngineContext.create(backend="parallel", seed=5),
             )
 
         get_pool(0)
         in_process = run()
         get_pool(processes)
         pooled = run()
-        assert pooled.mean == in_process.mean
-        assert pooled.stderr == in_process.stderr
+        assert get_pool().tasks_dispatched == len(forward_shard_counts(48))
+        assert pooled == in_process
 
     @pytest.mark.parametrize("processes", [2])
     def test_forward_spread_identical(self, graph, processes):
@@ -162,6 +184,32 @@ class TestDeterminism:
             ctx=EngineContext.create(backend="parallel", seed=3),
         )
         assert parallel.mean >= 0.0
+
+
+class TestShardHistory:
+    def test_forward_history_is_kept_per_kernel(self):
+        """Welfare's seconds per world never plan Com-IC's dispatch."""
+        from functools import partial
+
+        from repro.diffusion.batch_forward import (
+            batch_comic_counts,
+            batch_uic_welfare,
+        )
+        from repro.parallel.pool import _AdaptiveSharder, _history_key
+
+        welfare = [(None, 10, partial(batch_uic_welfare, model=None))] * 8
+        comic = [(None, 10, partial(batch_comic_counts, model=None))] * 8
+        welfare_key = _history_key("forward_shard", welfare[0])
+        comic_key = _history_key("forward_shard", comic[0])
+        sharder = _AdaptiveSharder()
+        sharder.observe(welfare_key, worlds=10, seconds=0.1)
+        assert len(sharder.plan(welfare_key, welfare, 2, 0.2)) < 8
+        assert sharder.plan(comic_key, comic, 2, 0.2) == [
+            [i] for i in range(8)
+        ]
+        assert _history_key("rr_shard", (None, 10, None, "batched")) == (
+            "rr_shard"
+        )
 
 
 class TestLeaks:
