@@ -5,10 +5,10 @@ Compares end-to-end RR-set *generation + NodeSelection* between
 * **legacy** — a faithful reconstruction of the seed-commit pipeline
   (commit eefbe22): per-set Python reverse BFS via ``generate_rr_set``,
   list-of-arrays storage, per-element inverted-index list appends, and the
-  per-element greedy selection loop.  The current ``backend="sequential"``
+  per-element greedy selection loop.  The current ``sequential`` backend
   already benefits from the flat-CSR storage refactor, so it is *not* the
   legacy baseline — the old pipeline is reconstructed here verbatim.
-* **batched** — ``backend="batched"`` flat-frontier sampling plus the
+* **batched** — the ``batched`` backend's flat-frontier sampling plus the
   vectorized greedy (segmented gather + bincount updates).
 
 Writes ``BENCH_rrset_engine.json`` at the repository root with per-graph
@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from _bench_utils import min_speedup, record, run_once
+from repro.engine import EngineContext
 from repro.graph.generators import erdos_renyi, random_wc_graph
 from repro.graph.weighting import fixed_probability
 from repro.rrset.node_selection import node_selection
@@ -92,7 +93,9 @@ def _legacy_pipeline(graph, num_sets, k):
 def _batched_pipeline(graph, num_sets, k):
     rng = np.random.default_rng(RNG_SEED)
     t0 = time.perf_counter()
-    coll = RRCollection(graph, rng, backend="batched")
+    coll = RRCollection(
+        graph, ctx=EngineContext.create(backend="batched", rng=rng)
+    )
     coll.generate(num_sets)
     gen_seconds = time.perf_counter() - t0
     t0 = time.perf_counter()

@@ -47,6 +47,7 @@ import numpy as np
 from repro import obs
 from repro.diffusion.batch_forward import batch_simulate_comic
 from repro.diffusion.comic import ComICModel, simulate_comic
+from repro.diffusion.montecarlo import require_ic
 from repro.engine import EngineContext, ensure_context, is_batched
 from repro.graph.digraph import InfluenceGraph
 from repro.rrset.batch import (
@@ -166,29 +167,29 @@ def _forward_adopter_worlds(
     fixed_item: int,
     fixed_seeds: Sequence[int],
     num_worlds: int,
-    rng: np.random.Generator,
-    backend: str = "sequential",
+    ctx: EngineContext,
 ) -> Union[List[Set[int]], np.ndarray]:
     """Adopters of the fixed item across sampled Com-IC worlds.
 
-    The sequential backend runs one :func:`simulate_comic` per world and
-    returns a list of adopter sets (the historical byte-identical path);
-    the batched backend advances all worlds at once through
+    Draws from ``ctx.rng``.  The sequential backend runs one
+    :func:`simulate_comic` per world and returns a list of adopter sets
+    (the historical byte-identical path); a vectorized backend advances
+    all worlds at once through
     :func:`repro.diffusion.batch_forward.batch_simulate_comic` and returns
     the ``(num_worlds, n)`` boolean bitmap the GAP sampler consumes
     directly.
     """
     seeds_a = fixed_seeds if fixed_item == 0 else ()
     seeds_b = fixed_seeds if fixed_item == 1 else ()
-    if is_batched(backend):
+    if ctx.is_batched:
         result = batch_simulate_comic(
-            graph, model, seeds_a, seeds_b, num_worlds, rng
+            graph, model, seeds_a, seeds_b, num_worlds, ctx.rng
         )
         return result.adopters_bitmap(fixed_item)
     worlds: List[Set[int]] = []
     for _ in range(num_worlds):
         result = simulate_comic(
-            graph, model, seeds_a=seeds_a, seeds_b=seeds_b, rng=rng
+            graph, model, seeds_a=seeds_a, seeds_b=seeds_b, rng=ctx.rng
         )
         worlds.append(result.adopters_of(fixed_item))
     return worlds
@@ -241,12 +242,13 @@ def _gap_rr_set(
 class _GapSampler:
     """Backend-dispatching GAP RR-set source with a persistent world cursor.
 
-    The cursor (an :class:`repro.engine.WorldCursor`, shared with the
-    engine context when one is supplied) counts every RR set drawn so far
-    and doubles as the forward-world pairing cursor: RR set ``j`` is paired
-    with world ``(cursor at phase start + j) mod |worlds|``, monotone
-    across the KPT and θ phases (the module-docstring convention) *and*
-    across a sketch-store save/load/extend round trip.  ``set_worlds``
+    The sampler draws from ``ctx.rng`` on ``ctx``'s backend.  The cursor
+    (the context's :class:`repro.engine.WorldCursor`) counts every RR set
+    drawn so far and doubles as the forward-world pairing cursor: RR set
+    ``j`` is paired with world ``(cursor at phase start + j) mod
+    |worlds|``, monotone across the KPT and θ phases (the
+    module-docstring convention) *and* across a sketch-store
+    save/load/extend round trip.  ``set_worlds``
     re-points the sampler at a refreshed world list (RR-CIM's extra forward
     pass) without resetting the cursor.
 
@@ -259,24 +261,11 @@ class _GapSampler:
     def __init__(
         self,
         graph: InfluenceGraph,
-        rng: Optional[np.random.Generator] = None,
-        q_plain: float = 0.0,
-        q_boosted: float = 0.0,
-        backend: Optional[str] = None,
+        q_plain: float,
+        q_boosted: float,
         *,
-        ctx: Optional[EngineContext] = None,
+        ctx: EngineContext,
     ):
-        if ctx is not None:
-            if rng is not None or backend is not None:
-                raise TypeError(
-                    "_GapSampler: pass either ctx= or rng=/backend=, "
-                    "not both"
-                )
-        else:
-            # Backend resolution happens in the engine, nowhere else: the
-            # legacy (rng, backend) spelling builds an equivalent context
-            # (fresh cursor, default stream) and reads it back.
-            ctx = EngineContext.create(backend=backend, rng=rng)
         self._graph = graph
         self._rng = ctx.rng
         self._q_plain = q_plain
@@ -455,17 +444,9 @@ def comic_rr_sketch(
     q_plain = model.q(select_item, has_other=False)
     q_boosted = model.q(select_item, has_other=True)
 
-    sampler = _GapSampler(
-        graph, q_plain=q_plain, q_boosted=q_boosted, ctx=ctx
-    )
+    sampler = _GapSampler(graph, q_plain, q_boosted, ctx=ctx)
     worlds = _forward_adopter_worlds(
-        graph,
-        model,
-        fixed_item,
-        fixed_seeds,
-        num_forward_worlds,
-        ctx.rng,
-        backend=ctx.backend,
+        graph, model, fixed_item, fixed_seeds, num_forward_worlds, ctx
     )
     sampler.set_worlds(worlds)
     with obs.span("rrset.kpt"), _KPT_SECONDS.timer(phase="kpt"):
@@ -474,13 +455,7 @@ def comic_rr_sketch(
 
     if extra_forward_pass:
         refreshed = _forward_adopter_worlds(
-            graph,
-            model,
-            fixed_item,
-            fixed_seeds,
-            num_forward_worlds,
-            ctx.rng,
-            backend=ctx.backend,
+            graph, model, fixed_item, fixed_seeds, num_forward_worlds, ctx
         )
         if isinstance(worlds, np.ndarray):
             worlds = np.concatenate([worlds, refreshed], axis=0)
@@ -518,7 +493,6 @@ def comic_rr_selection(
     rng: Optional[np.random.Generator] = None,
     num_forward_worlds: int = 20,
     extra_forward_pass: bool = False,
-    backend: Optional[str] = None,
     *,
     ctx: Optional[EngineContext] = None,
 ) -> ComICSeedSelection:
@@ -528,9 +502,9 @@ def comic_rr_selection(
     generality tax: it re-estimates the boost after a first selection round).
 
     The context's backend picks the GAP sampling path (``sequential``, or
-    the vectorized path for ``batched``/``parallel``); the removed legacy
-    ``backend=`` keyword raises ``TypeError`` while ``rng=`` stays
-    first-class.
+    the vectorized path for ``batched``/``parallel``).  Com-IC edges are
+    IC's: a context carrying another triggering model raises
+    ``ValueError`` before any sampling.
     The returned ``coverage_fraction`` divides by the full θ — empty RR
     sets from failed root adoption coins included — and RR set ``j``
     (counting from the first KPT sample) is paired with forward world
@@ -538,9 +512,8 @@ def comic_rr_selection(
     cursor (``ctx.cursor``) instead of restarting at world 0.  See the
     module docstring for the rationale of both conventions.
     """
-    ctx = ensure_context(
-        ctx, backend=backend, rng=rng, caller="comic_rr_selection"
-    )
+    ctx = ensure_context(ctx, rng=rng, caller="comic_rr_selection")
+    require_ic(ctx, "comic_rr_selection")
     if budget <= 0:
         return ComICSeedSelection(seeds=(), num_rr_sets=0, coverage_fraction=0.0)
     state = comic_rr_sketch(

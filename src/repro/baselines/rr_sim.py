@@ -31,6 +31,7 @@ from repro.baselines._comic_common import (
 )
 from repro.core.allocation import Allocation
 from repro.diffusion.comic import ComICModel
+from repro.diffusion.montecarlo import require_ic
 from repro.engine import ensure_context
 from repro.graph.digraph import InfluenceGraph
 from repro.rrset.imm import imm
@@ -55,7 +56,6 @@ def rr_sim_plus(
     ell: float = 1.0,
     rng: Optional[np.random.Generator] = None,
     num_forward_worlds: int = 20,
-    backend: Optional[str] = None,
     *,
     ctx=None,
 ) -> RRSIMResult:
@@ -73,15 +73,14 @@ def rr_sim_plus(
     num_forward_worlds:
         Forward Com-IC simulations of the fixed item used to estimate
         per-world adopter sets for the "+" boost.
-    backend:
-        Removed — raises ``TypeError``.  Select the backend for both the
-        IMM call and the GAP-aware KPT/θ phases through
-        ``ctx=EngineContext.create(backend=...)`` instead.
     ctx:
         :class:`repro.engine.EngineContext` shared by every phase (IMM,
         forward worlds, GAP KPT/θ), including the forward-world cursor.
+        Com-IC edges are IC's: a context carrying another triggering
+        model raises ``ValueError`` before any sampling.
     """
-    ctx = ensure_context(ctx, backend=backend, rng=rng, caller="rr_sim_plus")
+    ctx = ensure_context(ctx, rng=rng, caller="rr_sim_plus")
+    require_ic(ctx, "rr_sim_plus")
     other_item = 1 - select_item
     seeds_other = imm(
         graph, budgets[other_item], epsilon=epsilon, ell=ell, ctx=ctx

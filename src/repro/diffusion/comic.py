@@ -178,7 +178,6 @@ def estimate_comic_spread(
     item: int,
     num_samples: int = 200,
     rng: Optional[object] = None,
-    backend: Optional[str] = None,
     *,
     ctx=None,
 ) -> float:
@@ -193,16 +192,13 @@ def estimate_comic_spread(
     when handed a ``Generator``), or
     :func:`repro.diffusion.batch_forward.batch_comic_counts` on all worlds
     at once or on pooled shards.  Com-IC edges are IC's: a context
-    carrying another triggering model raises ``ValueError``.  The removed
-    legacy ``backend=`` keyword raises ``TypeError``.
+    carrying another triggering model raises ``ValueError``.
     """
     from repro.diffusion.batch_forward import batch_comic_counts
     from repro.engine import ensure_context
 
     check_item(item)
-    ctx = ensure_context(
-        ctx, backend=backend, rng=rng, caller="estimate_comic_spread"
-    )
+    ctx = ensure_context(ctx, rng=rng, caller="estimate_comic_spread")
     require_ic(ctx, "estimate_comic_spread")
     seeds_a, seeds_b = tuple(seeds_a), tuple(seeds_b)
     kernel = partial(

@@ -75,7 +75,6 @@ def estimate_welfare_personalized(
     allocation: Iterable[Tuple[int, int]],
     num_samples: int = 200,
     rng=None,
-    backend: Optional[str] = None,
     *,
     ctx=None,
 ) -> float:
@@ -95,9 +94,7 @@ def estimate_welfare_personalized(
     ``SeedSequence`` — sequential worlds draw from independent per-world
     child streams), or ``None`` (the historical seed-0 stream).
     """
-    ctx = ensure_context(
-        ctx, backend=backend, rng=rng, caller="estimate_welfare_personalized"
-    )
+    ctx = ensure_context(ctx, rng=rng, caller="estimate_welfare_personalized")
     require_ic(ctx, "estimate_welfare_personalized")
     if ctx.is_batched:
         warn_uic_item_cap_fallback(model)

@@ -9,8 +9,7 @@ Each estimator is a batched kernel, a one-world sequential simulation and
 a mean ± stderr; :func:`repro.diffusion.montecarlo.run_worlds` runs the
 worlds on the context's backend.  Both accept the unified
 :class:`repro.engine.EngineContext` (``ctx=``) and honour its triggering
-model; ``rng=`` builds an equivalent context (the removed legacy
-``backend=`` keyword raises ``TypeError``).
+model; ``rng=`` builds an equivalent context.
 """
 
 from __future__ import annotations
@@ -101,7 +100,6 @@ def estimate_welfare(
     rng=None,
     noise_world: Optional[NoiseWorld] = None,
     triggering=None,
-    backend: Optional[str] = None,
     *,
     ctx=None,
 ) -> WelfareEstimate:
@@ -126,11 +124,7 @@ def estimate_welfare(
     child streams), or ``None`` (the historical seed-0 stream).
     """
     ctx = ensure_context(
-        ctx,
-        backend=backend,
-        rng=rng,
-        triggering=triggering,
-        caller="estimate_welfare",
+        ctx, rng=rng, triggering=triggering, caller="estimate_welfare"
     )
     trig = _uic_triggering(graph, model, ctx)
     allocation = list(allocation)
@@ -161,14 +155,13 @@ def estimate_adoption(
     num_samples: int = 200,
     rng=None,
     item: Optional[int] = None,
-    backend: Optional[str] = None,
     *,
     ctx=None,
 ) -> WelfareEstimate:
     """Estimate expected adoptions (all items, or one item's adopter count).
 
     This is the σ-style objective the multi-item IM baselines optimize; the
-    paper contrasts it with welfare.  ``ctx``/``backend``/``rng`` follow
+    paper contrasts it with welfare.  ``ctx``/``rng`` follow
     :func:`estimate_welfare`'s conventions, including integer seeds via
     ``SeedSequence`` children and the context's triggering model.
     """
@@ -176,9 +169,7 @@ def estimate_adoption(
         raise ValueError(
             f"item {item} outside the model's {model.num_items} items"
         )
-    ctx = ensure_context(
-        ctx, backend=backend, rng=rng, caller="estimate_adoption"
-    )
+    ctx = ensure_context(ctx, rng=rng, caller="estimate_adoption")
     trig = _uic_triggering(graph, model, ctx)
     allocation = list(allocation)
     kernel = partial(

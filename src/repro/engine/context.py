@@ -24,19 +24,18 @@ through the held objects, never through rebinding.  One context therefore
 names one reproducible execution: two runs handed equal contexts consume
 identical randomness and identical world pairings on every layer.
 
-Every public entry point routes its arguments through
-:func:`ensure_context`: ``ctx=`` is the one supported spelling of
-execution state, ``rng=`` rides into a fresh context unchanged (it was
-never deprecated), and the removed legacy ``backend=`` / ``seed=``
-keywords raise a :class:`TypeError` naming ``ctx=`` as the replacement —
-the one-release deprecation window of the EngineContext migration is
-over.
+:func:`ensure_context` is the one place loose arguments become a
+context: every public entry point, the ``RRCollection`` constructor and
+the store builders call it first, and internal helpers (the GAP sampler,
+the forward adopter worlds) take the context it resolved.  ``ctx=`` is
+the one spelling of backend and lineage; ``rng=`` and ``triggering=``
+ride into a fresh context unchanged.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Union
 
 import numpy as np
@@ -44,12 +43,10 @@ import numpy as np
 __all__ = [
     "BACKEND_ENV",
     "BACKENDS",
-    "LEGACY_KWARG_MESSAGE",
     "EngineContext",
     "WorldCursor",
     "ensure_context",
     "is_batched",
-    "reject_legacy_kwarg",
     "resolve_backend",
 ]
 
@@ -58,14 +55,6 @@ BACKEND_ENV = "REPRO_RR_BACKEND"
 
 #: Recognized backend names.
 BACKENDS = ("sequential", "batched", "parallel")
-
-#: The pinned removal text (tests assert on this exact template).
-LEGACY_KWARG_MESSAGE = (
-    "{caller}: the legacy {kwarg} keyword was removed with the "
-    "EngineContext migration; build an EngineContext "
-    "(repro.engine.EngineContext.create(...)) and pass it as ctx= instead."
-)
-
 
 def resolve_backend(backend: Optional[str] = None) -> str:
     """Resolve a backend name: explicit > ``$REPRO_RR_BACKEND`` > batched.
@@ -252,28 +241,15 @@ class EngineContext:
             rng=rng,
             world_cursor=world_cursor,
         )
-        return EngineContext(
-            backend=derived.backend,
-            rng=derived.rng,
-            seed_seq=derived.seed_seq,
-            cursor=derived.cursor,
-            triggering=self.triggering,
-        )
+        return replace(derived, triggering=self.triggering)
 
     def with_triggering(self, triggering) -> "EngineContext":
         """Same stream and cursor, different (resolved) triggering model."""
-        trig = None
         if triggering is not None:
             from repro.diffusion.triggering import resolve_triggering
 
-            trig = resolve_triggering(triggering)
-        return EngineContext(
-            backend=self.backend,
-            rng=self.rng,
-            seed_seq=self.seed_seq,
-            cursor=self.cursor,
-            triggering=trig,
-        )
+            triggering = resolve_triggering(triggering)
+        return replace(self, triggering=triggering)
 
     def spawn_generators(self, count: int) -> List[np.random.Generator]:
         """``count`` independent child generators from the seed lineage.
@@ -326,57 +302,33 @@ class EngineContext:
         )
 
 
-def reject_legacy_kwarg(caller: str, kwarg: str) -> None:
-    """Raise the pinned removed-legacy-kwarg TypeError."""
-    raise TypeError(LEGACY_KWARG_MESSAGE.format(caller=caller, kwarg=kwarg))
-
-
 def ensure_context(
     ctx: Optional[EngineContext],
     *,
-    backend: Optional[str] = None,
-    seed: Optional[Union[int, np.integer]] = None,
     rng: Optional[Union[np.random.Generator, int, np.integer]] = None,
     triggering=None,
     caller: str = "this function",
 ) -> EngineContext:
     """Resolve an entry point's execution state into one context.
 
-    Every public entry point calls this first.  With ``ctx`` given it is
-    returned as-is (combining it with an ``rng=`` value is a
-    :class:`TypeError` — two sources of truth for the same state is
-    exactly the drift the context exists to prevent; an
-    entry-point-specific ``triggering`` argument is the one exception and
-    overlays the context when the context itself carries none — two
-    *different* triggering sources are a :class:`TypeError` like every
-    other conflict).  Without ``ctx`` an equivalent context is built from
-    ``rng=`` (never deprecated — it rides into the context unchanged).
-    The removed legacy ``backend=`` / ``seed=`` keywords raise a
-    :class:`TypeError` naming ``ctx=`` as the supported spelling, whether
-    or not a context was passed.
+    Every public entry point, the ``RRCollection`` constructor and the
+    store builders call this first.  With ``ctx``
+    given it is returned as-is; combining it with ``rng=`` is a
+    :class:`TypeError` (two sources of truth for one stream).  A
+    ``triggering`` argument overlays a context that carries none; two
+    triggering sources are a :class:`TypeError` too.  Without ``ctx`` an
+    equivalent context is built from ``rng=`` and ``triggering=``
+    (``EngineContext.create``'s conventions).
     """
-    if ctx is not None:
-        if backend is not None:
-            reject_legacy_kwarg(caller, "backend=")
-        if seed is not None:
-            reject_legacy_kwarg(caller, "seed=")
-        if rng is not None:
-            raise TypeError(
-                f"{caller}: pass either ctx= or rng=, not both"
-            )
-        if triggering is not None:
-            if ctx.triggering is not None:
-                raise TypeError(
-                    f"{caller}: the context already carries a triggering "
-                    "model; pass either ctx= or triggering=, not both"
-                )
-            return ctx.with_triggering(triggering)
+    if ctx is None:
+        return EngineContext.create(rng=rng, triggering=triggering)
+    if rng is not None:
+        raise TypeError(f"{caller}: pass either ctx= or rng=, not both")
+    if triggering is None:
         return ctx
-    if backend is not None:
-        reject_legacy_kwarg(caller, "backend=")
-    if seed is not None:
-        reject_legacy_kwarg(caller, "seed=")
-    return EngineContext.create(
-        rng=rng,
-        triggering=triggering,
-    )
+    if ctx.triggering is not None:
+        raise TypeError(
+            f"{caller}: the context already carries a triggering "
+            "model; pass either ctx= or triggering=, not both"
+        )
+    return ctx.with_triggering(triggering)

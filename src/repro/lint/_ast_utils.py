@@ -6,10 +6,8 @@ import ast
 from typing import Iterator, List, Optional
 
 __all__ = [
-    "arg_nodes",
     "call_name",
     "dotted_name",
-    "is_none_check",
     "root_name",
     "walk_functions",
 ]
@@ -42,23 +40,6 @@ def root_name(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Name):
         return node.id
     return None
-
-
-def is_none_check(compare: ast.Compare, name: str) -> bool:
-    """``name is None`` / ``name is not None`` (either operand order)."""
-    if len(compare.ops) != 1 or not isinstance(compare.ops[0], (ast.Is, ast.IsNot)):
-        return False
-    operands = [compare.left, compare.comparators[0]]
-    has_name = any(isinstance(op, ast.Name) and op.id == name for op in operands)
-    has_none = any(isinstance(op, ast.Constant) and op.value is None for op in operands)
-    return has_name and has_none
-
-
-def arg_nodes(call: ast.Call) -> Iterator[ast.AST]:
-    """Every argument expression of a call (positional + keyword)."""
-    yield from call.args
-    for kw in call.keywords:
-        yield kw.value
 
 
 def walk_functions(tree: ast.Module) -> Iterator[ast.AST]:

@@ -80,12 +80,6 @@ class LintFile:
             self._parents = parents
         return self._parents.get(node)
 
-    def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
-        current = self.parent_of(node)
-        while current is not None:
-            yield current
-            current = self.parent_of(current)
-
     def diagnostic(self, rule_id: str, node: ast.AST, message: str) -> Diagnostic:
         return Diagnostic(
             path=self.rel_path,

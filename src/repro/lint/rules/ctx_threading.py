@@ -4,12 +4,10 @@ The EngineContext migration (DESIGN.md §5) made ``ctx=`` the one spelling
 of backend/seed/triggering state.  This rule keeps it that way:
 
 * **params** — functions under ``rrset/``, ``diffusion/``, ``baselines/``
-  and ``store/`` may not (re)introduce working ``backend=`` / ``seed=``
-  keywords.  A parameter with those names is allowed only as a *tombstone*
-  or engine hand-off: every read of it must be an ``is None`` presence
-  guard or an argument to the engine's own entry points
-  (``ensure_context``, ``reject_legacy_kwarg``, ``_builder_context``,
-  ``EngineContext.create``, ``is_batched``, ``SeedSequence``).
+  and ``store/`` take no ``backend`` / ``seed`` parameter at all:
+  execution state arrives as ``ctx=`` (or ``rng=``) and resolves through
+  ``ensure_context``.  The one documented exception (``extend_store``'s
+  persisted-backend override) carries a suppression.
 * **resolution** — no call to ``resolve_backend`` and no read/write of
   ``os.environ["REPRO_RR_BACKEND"]`` outside ``repro.engine``: backend
   resolution happens exactly once, at context construction.
@@ -21,14 +19,9 @@ of backend/seed/triggering state.  This rule keeps it that way:
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List
+from typing import Iterable
 
-from repro.lint._ast_utils import (
-    arg_nodes,
-    call_name,
-    is_none_check,
-    walk_functions,
-)
+from repro.lint._ast_utils import call_name, walk_functions
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import LintFile, Rule, rule
 
@@ -38,17 +31,6 @@ _CTX_DIRS = (
     "src/repro/baselines/",
     "src/repro/store/",
 )
-
-#: Callees a backend=/seed= parameter may legitimately flow into: the
-#: engine's context constructors and capability helpers.
-_ALLOWED_SINKS = {
-    "ensure_context",
-    "reject_legacy_kwarg",
-    "_builder_context",
-    "create",  # EngineContext.create
-    "is_batched",
-    "SeedSequence",  # np.random.SeedSequence lineage roots
-}
 
 _BACKEND_ENV_NAME = "REPRO_RR_BACKEND"
 
@@ -91,78 +73,14 @@ class CtxThreadingRule(Rule):
             args = func.args
             params = args.posonlyargs + args.args + args.kwonlyargs
             for param in params:
-                if param.arg not in ("backend", "seed"):
-                    continue
-                bad = self._disallowed_loads(file, func, param.arg)
-                if bad is None:
+                if param.arg in ("backend", "seed"):
                     yield file.diagnostic(
                         self.rule_id,
                         param,
-                        f"{func.name}() accepts {param.arg}= but never "
-                        "routes it through the engine — a silently "
-                        "ignored execution-state kwarg",
+                        f"{func.name}() takes a {param.arg}= parameter; "
+                        "execution state must arrive as ctx= and resolve "
+                        "via ensure_context",
                     )
-                elif bad:
-                    yield file.diagnostic(
-                        self.rule_id,
-                        param,
-                        f"{func.name}() reintroduces a working "
-                        f"{param.arg}= kwarg (read at line "
-                        f"{bad[0].lineno}); execution state must arrive "
-                        "as ctx= and resolve via EngineContext",
-                    )
-
-    def _disallowed_loads(
-        self, file: LintFile, func: ast.AST, name: str
-    ) -> "List[ast.Name] | None":
-        """Loads of ``name`` in ``func`` that bypass the engine.
-
-        Returns ``None`` when the parameter is never read at all (its own
-        kind of violation), else the list of offending Name loads.
-        """
-        loads = [
-            node
-            for node in ast.walk(func)
-            if isinstance(node, ast.Name)
-            and node.id == name
-            and isinstance(node.ctx, ast.Load)
-        ]
-        if not loads:
-            return None
-        # ``backend = ctx.backend`` rebinds the name to the *resolved*
-        # value; loads after that line read the context, not the kwarg.
-        rebind_line = None
-        for node in ast.walk(func):
-            if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and node.targets[0].id == name
-                and isinstance(node.value, ast.Attribute)
-                and node.value.attr == name
-            ):
-                rebind_line = node.lineno
-                break
-        offending: List[ast.Name] = []
-        for load in loads:
-            if rebind_line is not None and load.lineno > rebind_line:
-                continue
-            if not self._load_allowed(file, load, name):
-                offending.append(load)
-        return offending
-
-    def _load_allowed(self, file: LintFile, load: ast.Name, name: str) -> bool:
-        for ancestor in file.ancestors(load):
-            if isinstance(ancestor, ast.Compare) and is_none_check(ancestor, name):
-                return True
-            if isinstance(ancestor, ast.Call):
-                callee = (call_name(ancestor) or "").rsplit(".", maxsplit=1)[-1]
-                if callee in _ALLOWED_SINKS and any(
-                    load is arg or load in ast.walk(arg)
-                    for arg in arg_nodes(ancestor)
-                ):
-                    return True
-        return False
 
     # ------------------------------------------------------------------
     # (c) $REPRO_RR_BACKEND access

@@ -37,16 +37,15 @@ def rr_shard(
     backend: Optional[str],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Sample one RR-set shard; returns flat ``(members, lengths)``."""
-    from repro.diffusion.triggering import resolve_triggering
+    from repro.engine import EngineContext
     from repro.rrset.rrgen import RRCollection
 
-    trig = resolve_triggering(triggering) if triggering is not None else None
-    collection = RRCollection(
-        graph,
-        np.random.default_rng(seed_seq),
-        triggering=trig,
+    ctx = EngineContext.create(
         backend=backend,
+        rng=np.random.default_rng(seed_seq),
+        triggering=triggering,
     )
+    collection = RRCollection(graph, ctx=ctx)
     if trigger_csr is not None:
         # Adopt the published compilation instead of re-deriving it —
         # the per-node distribution pass is the one Python-level cost of

@@ -39,7 +39,6 @@ def imm(
     rng: Optional[np.random.Generator] = None,
     ell_prime: Optional[float] = None,
     triggering=None,
-    backend: Optional[str] = None,
     *,
     ctx=None,
 ) -> IMMResult:
@@ -50,9 +49,7 @@ def imm(
     Table 6 experiment align IMM's failure-probability bookkeeping with
     PRIMA's so the RR-set counts are directly comparable.
     """
-    ctx = ensure_context(
-        ctx, backend=backend, rng=rng, triggering=triggering, caller="imm"
-    )
+    ctx = ensure_context(ctx, rng=rng, triggering=triggering, caller="imm")
     result: PRIMAResult = prima(
         graph,
         [k],

@@ -70,7 +70,6 @@ def prima(
     rng: Optional[np.random.Generator] = None,
     ell_prime: Optional[float] = None,
     triggering=None,
-    backend: Optional[str] = None,
     *,
     ctx=None,
 ) -> PRIMAResult:
@@ -95,13 +94,11 @@ def prima(
         ``None`` (IC fast path), ``"ic"``, ``"lt"`` or a
         :class:`~repro.diffusion.triggering.TriggeringModel` — the paper's
         results carry over to any triggering model (§5).
-    backend:
-        Removed — raises ``TypeError``.  Select the RR sampling backend
-        (``"sequential"`` | ``"batched"`` | ``"parallel"``) through
-        ``ctx=EngineContext.create(backend=...)`` instead.
     ctx:
-        :class:`repro.engine.EngineContext` carrying backend, RNG lineage
-        and triggering in one object; mutually exclusive with ``rng``.
+        :class:`repro.engine.EngineContext` carrying backend (the RR
+        sampling path: ``"sequential"`` | ``"batched"`` | ``"parallel"``),
+        RNG lineage and triggering in one object; mutually exclusive with
+        ``rng``.
 
     Returns
     -------
@@ -109,7 +106,7 @@ def prima(
         Ordered seeds of size ``max(budgets)`` plus sampling statistics.
     """
     ctx = ensure_context(
-        ctx, backend=backend, rng=rng, triggering=triggering, caller="prima"
+        ctx, rng=rng, triggering=triggering, caller="prima"
     )
     if not budgets:
         raise ValueError("budgets must be non-empty")

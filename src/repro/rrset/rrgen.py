@@ -10,12 +10,13 @@ node ``v'`` is live independently with probability ``p_{u v'}`` (Borgs et al.
 for every seed set ``S``, which turns influence maximization into max-coverage
 over a collection of RR sets.
 
-Two samplers produce identical distributions:
+Two samplers, picked by the engine context's backend, produce identical
+distributions:
 
-* ``backend="sequential"`` — :func:`generate_rr_set`, one Python-level BFS
+* ``sequential`` — :func:`generate_rr_set`, one Python-level BFS
   per set.  Kept as the exact-equivalence reference: for a fixed RNG seed it
   reproduces the historical per-set RNG stream bit for bit.
-* ``backend="batched"`` — :mod:`repro.rrset.batch`, which expands many
+* ``batched`` — :mod:`repro.rrset.batch`, which expands many
   frontiers per numpy call (flat ``(walk, node)`` arrays over the reverse
   CSR).  The default; an order of magnitude faster on non-trivial graphs.
 
@@ -42,7 +43,7 @@ from repro.diffusion.triggering import (
     needs_trigger_csr,
     segmented_positions,
 )
-from repro.engine.context import EngineContext, is_batched
+from repro.engine.context import EngineContext, ensure_context, is_batched
 from repro.graph.digraph import InfluenceGraph
 from repro.rrset.batch import (
     batch_generate_rr_sets,
@@ -201,50 +202,31 @@ class RRCollection:
 
     Parameters
     ----------
-    graph, rng, triggering:
-        As before: the network, the randomness source, and an optional
-        triggering model (``None`` = IC fast path).
-    backend:
-        ``"sequential"`` (per-set Python BFS, exact historical RNG stream),
-        ``"batched"`` (vectorized frontier expansion), or ``None`` to resolve
-        from ``$REPRO_RR_BACKEND`` (default batched).  Triggering models
-        without a batched sampler fall back to sequential automatically.
-    ctx:
-        A :class:`repro.engine.EngineContext` supplying rng/backend/
-        triggering in one object (the supported spelling since the engine
-        refactor).  Mutually exclusive with ``rng``/``backend``; an
-        explicit ``triggering`` argument is allowed only when the context
-        carries none (two triggering sources are a ``TypeError``).
+    graph:
+        The network RR sets are sampled from.
+    rng, triggering, ctx:
+        The execution state, resolved by
+        :func:`repro.engine.ensure_context`: a context (``ctx=``, the
+        supported spelling) or a randomness source, plus an optional
+        triggering model (``None`` = IC fast path; a name or a
+        ``TriggeringModel``).  The context's backend picks the sampler:
+        ``"sequential"`` (per-set Python BFS, exact historical RNG stream)
+        or the vectorized frontier expansion.  Triggering models without a
+        batched sampler fall back to sequential automatically.
     """
 
     def __init__(
         self,
         graph: InfluenceGraph,
         rng: Optional[np.random.Generator] = None,
-        triggering: Optional[TriggeringModel] = None,
-        backend: Optional[str] = None,
+        triggering=None,
         *,
-        ctx=None,
+        ctx: Optional[EngineContext] = None,
     ):
-        if ctx is not None:
-            if rng is not None or backend is not None:
-                raise TypeError(
-                    "RRCollection: pass either ctx= or rng=/backend=, "
-                    "not both"
-                )
-            if triggering is not None and ctx.triggering is not None:
-                raise TypeError(
-                    "RRCollection: the context already carries a "
-                    "triggering model; pass either ctx= or triggering=, "
-                    "not both"
-                )
-            if triggering is None:
-                triggering = ctx.triggering
-        else:
-            # Backend/seed resolution happens in the engine, nowhere else:
-            # the legacy (rng, backend) spelling builds an equivalent
-            # context and reads the resolved fields back.
-            ctx = EngineContext.create(backend=backend, rng=rng)
+        ctx = ensure_context(
+            ctx, rng=rng, triggering=triggering, caller="RRCollection"
+        )
+        triggering = ctx.triggering
         if triggering is not None:
             triggering.validate(graph)
         self._graph = graph
@@ -559,10 +541,8 @@ class RRCollection:
         offsets: np.ndarray,
         *,
         index: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-        triggering: Optional[TriggeringModel] = None,
-        # repro-lint: disable=RL002 forwarded verbatim into cls()'s resolution
-        backend: Optional[str] = None,
-        ctx=None,
+        triggering=None,
+        ctx: Optional[EngineContext] = None,
     ) -> "RRCollection":
         """Rebuild a collection from flat CSR arrays without regeneration.
 
@@ -571,11 +551,10 @@ class RRCollection:
         ``(idx_sets, idx_indptr)`` inverted index (e.g. from a loaded
         sketch store), in which case later growth updates it incrementally
         instead of rebuilding.  Read-only inputs (memory-mapped store
-        arrays) are copied into writable growth buffers.
+        arrays) are copied into writable growth buffers.  ``rng``,
+        ``triggering`` and ``ctx`` are the constructor's.
         """
-        collection = cls(
-            graph, rng, triggering=triggering, backend=backend, ctx=ctx
-        )
+        collection = cls(graph, rng, triggering, ctx=ctx)
         members = np.asarray(members, dtype=np.int64)
         offsets = np.asarray(offsets, dtype=np.int64)
         if offsets.shape[0] < 1 or offsets[0] != 0:

@@ -38,9 +38,10 @@ inverted index, cover counts and RNG state.
   is byte-identical to growing the original live state by the same
   amount.
 
-Every builder accepts a :class:`~repro.engine.EngineContext` (``ctx=``);
-the removed legacy ``seed=``/``backend=`` kwargs raise ``TypeError``
-naming the ``ctx=`` replacement.
+Every builder takes a :class:`~repro.engine.EngineContext` (``ctx=``)
+and defaults to the seed-0 lineage; :func:`build_store` and
+:func:`build_sharded` overlay their ``triggering=`` argument through
+:func:`~repro.engine.ensure_context`.
 """
 
 from __future__ import annotations
@@ -51,8 +52,7 @@ from typing import Optional
 import numpy as np
 
 from repro import obs
-from repro.engine import EngineContext
-from repro.engine.context import reject_legacy_kwarg
+from repro.engine import EngineContext, ensure_context
 from repro.graph.digraph import InfluenceGraph
 from repro.rrset.prima import prima
 from repro.rrset.node_selection import node_selection
@@ -109,36 +109,6 @@ def _triggering_name(triggering) -> Optional[str]:
     )
 
 
-def _builder_context(
-    ctx: Optional[EngineContext],
-    seed: Optional[int],
-    backend: Optional[str],
-    triggering,
-    caller: str,
-) -> EngineContext:
-    """The builders' context normalizer.
-
-    Builders historically took an integer ``seed`` (default 0) and a
-    ``backend`` string; both were removed with the EngineContext
-    migration and now raise ``TypeError`` naming the replacement
-    (``EngineContext.create(seed=..., backend=...)`` passed as ``ctx=``).
-    """
-    if seed is not None:
-        reject_legacy_kwarg(caller, "seed=")
-    if backend is not None:
-        reject_legacy_kwarg(caller, "backend=")
-    if ctx is not None:
-        if triggering is not None:
-            if ctx.triggering is not None:
-                raise TypeError(
-                    f"{caller}: the context already carries a triggering "
-                    "model; pass either ctx= or triggering=, not both"
-                )
-            return ctx.with_triggering(triggering)
-        return ctx
-    return EngineContext.create(seed=0, triggering=triggering)
-
-
 def _check_build_args(
     graph: InfluenceGraph, max_budget: int, estimation_rr_sets: int
 ) -> int:
@@ -164,10 +134,8 @@ def build_store(
     *,
     epsilon: float = 0.5,
     ell: float = 1.0,
-    seed: Optional[int] = None,
     estimation_rr_sets: int = 10_000,
     triggering: Optional[str] = None,
-    backend: Optional[str] = None,
     ctx: Optional[EngineContext] = None,
 ) -> SketchStore:
     """Build a store: PRIMA seed order plus an independent estimation set.
@@ -180,7 +148,11 @@ def build_store(
     :func:`extend_store` continues it.  Without ``ctx`` the builder uses
     the seed-0 lineage (the historical default).
     """
-    ctx = _builder_context(ctx, seed, backend, triggering, "build_store")
+    ctx = ensure_context(
+        ctx or EngineContext.create(seed=0),
+        triggering=triggering,
+        caller="build_store",
+    )
     # Fail fast on unpersistable triggering models (before the PRIMA run).
     name = _triggering_name(ctx.triggering)
     capped = _check_build_args(graph, max_budget, estimation_rr_sets)
@@ -203,10 +175,8 @@ def build_sharded(
     processes: Optional[int] = None,
     epsilon: float = 0.5,
     ell: float = 1.0,
-    seed: Optional[int] = None,
     estimation_rr_sets: int = 10_000,
     triggering: Optional[str] = None,
-    backend: Optional[str] = None,
     ctx: Optional[EngineContext] = None,
 ) -> SketchStore:
     """Build a store with the estimation collection sampled in parallel.
@@ -234,7 +204,11 @@ def build_sharded(
     """
     if num_shards < 1:
         raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    ctx = _builder_context(ctx, seed, backend, triggering, "build_sharded")
+    ctx = ensure_context(
+        ctx or EngineContext.create(seed=0),
+        triggering=triggering,
+        caller="build_sharded",
+    )
     if not ctx.has_lineage:
         raise ValueError(
             "build_sharded needs a seed-rooted EngineContext (integer "
@@ -315,8 +289,6 @@ def build_comic_store(
     ell: float = 1.0,
     num_forward_worlds: int = 20,
     extra_forward_pass: bool = False,
-    seed: Optional[int] = None,
-    backend: Optional[str] = None,
     ctx: Optional[EngineContext] = None,
 ) -> SketchStore:
     """Build a GAP-aware Com-IC sketch store (RR-SIM+ / RR-CIM pipeline).
@@ -341,7 +313,7 @@ def build_comic_store(
 
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
-    ctx = _builder_context(ctx, seed, backend, None, "build_comic_store")
+    ctx = ctx or EngineContext.create(seed=0)
     if ctx.triggering is not None:
         raise SketchStoreError(
             "comic stores sample under the Com-IC GAP model; a context "
@@ -393,34 +365,27 @@ def _extend_comic(
     store: SketchStore,
     graph: InfluenceGraph,
     add: int,
-    backend: Optional[str],
+    ctx: EngineContext,
 ) -> SketchStore:
     """Com-IC θ-extension: restore sampler state, sample, re-select.
 
-    Rebuilds the :class:`~repro.baselines._comic_common._GapSampler`
-    around the persisted RNG state, world cursor and forward-world bitmap,
-    wraps the stored arrays and index in a collection, appends ``add``
-    more GAP RR sets (byte-identical to uninterrupted growth), and re-runs
-    the selection on the grown collection so the stored seeds stay the
-    selection the full sketch implies.
+    Rebuilds the :class:`~repro.baselines._comic_common._GapSampler` on
+    ``ctx`` (the persisted RNG state and world cursor) around the
+    persisted forward-world bitmap, wraps the stored arrays and index in a
+    collection, appends ``add`` more GAP RR sets (byte-identical to
+    uninterrupted growth), and re-runs the selection on the grown
+    collection so the stored seeds stay the selection the full sketch
+    implies.
     """
     from repro.baselines._comic_common import (
         _GapSampler,
         bitmap_to_worlds,
     )
 
-    rng = store.restore_rng()
-    # create() validates the backend (legacy overrides and persisted
-    # headers alike) and seeds the cursor at the persisted position.
-    ctx = EngineContext.create(
-        backend=backend if backend is not None else store.backend,
-        rng=rng,
-        world_cursor=int(store.world_cursor),
-    )
     sampler = _GapSampler(
         graph,
-        q_plain=float(store.comic["q_plain"]),
-        q_boosted=float(store.comic["q_boosted"]),
+        float(store.comic["q_plain"]),
+        float(store.comic["q_boosted"]),
         ctx=ctx,
     )
     bitmap = np.asarray(store.worlds, dtype=WORLDS_DTYPE)
@@ -496,24 +461,23 @@ def extend_store(
     if add < 0:
         raise ValueError(f"add must be non-negative, got {add}")
     store.verify_graph(graph)
-    if store.model == "comic":
-        return _extend_comic(store, graph, add, backend)
-    from repro.diffusion.triggering import resolve_triggering
-
-    trig = (
-        resolve_triggering(store.triggering)
-        if store.triggering is not None
-        else None
+    # create() validates the backend (override and persisted header
+    # alike) and seeds the cursor at the persisted position.
+    ctx = EngineContext.create(
+        backend=backend if backend is not None else store.backend,
+        rng=store.restore_rng(),
+        triggering=store.triggering,
+        world_cursor=int(store.world_cursor),
     )
-    rng = store.restore_rng()
+    if store.model == "comic":
+        return _extend_comic(store, graph, add, ctx)
     collection = RRCollection.from_flat(
         graph,
-        rng,
+        None,
         store.members,
         store.offsets,
         index=(store.idx_sets, store.idx_indptr),
-        triggering=trig,
-        backend=backend if backend is not None else store.backend,
+        ctx=ctx,
     )
     collection.generate(int(add))
     return SketchStore.from_collection(

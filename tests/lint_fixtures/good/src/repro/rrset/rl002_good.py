@@ -1,28 +1,18 @@
-"""RL002 fixture: tombstone/threading patterns that must lint clean."""
+"""RL002 fixture: ctx-threading patterns that must lint clean."""
 
-from repro.engine import EngineContext, ensure_context, is_batched
+from repro.engine import ensure_context, is_batched
 
 
-def spread(graph, k, ctx=None, backend=None, seed=None):
-    # Tombstone entry point: the kwargs exist only to be rejected or
-    # resolved by the engine, never read directly.
-    ctx = ensure_context(
-        ctx, backend=backend, seed=seed, caller="spread"
-    )
+def spread(graph, k, rng=None, *, ctx=None):
+    # Execution state arrives as ctx= (or rng=) and resolves in the engine.
+    ctx = ensure_context(ctx, rng=rng, caller="spread")
     if ctx.is_batched:
         return _batched(graph, k, ctx)
     return _sequential(graph, k, ctx)
 
 
-def legacy_constructor(graph, backend=None):
-    if backend is None:
-        backend = "batched"
-    ctx = EngineContext.create(backend=backend)
-    return graph, ctx
-
-
-def capability(backend):
-    return is_batched(backend)
+def capability(ctx):
+    return is_batched(ctx.backend)
 
 
 def _batched(graph, k, ctx):

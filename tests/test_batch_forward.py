@@ -719,13 +719,13 @@ class TestGenericTriggeringRRSets:
         model = AttentionICTriggering(max_attention=3)
         count = 4000
         sequential = RRCollection(
-            graph, np.random.default_rng(1), triggering=model,
-            backend="sequential",
+            graph, triggering=model,
+            ctx=_ctx("sequential", np.random.default_rng(1)),
         )
         sequential.generate(count)
         batched = RRCollection(
-            graph, np.random.default_rng(2), triggering=model,
-            backend="batched",
+            graph, triggering=model,
+            ctx=_ctx("batched", np.random.default_rng(2)),
         )
         batched.generate(count)
         assert batched.num_sets == sequential.num_sets == count
@@ -750,8 +750,8 @@ class TestGenericTriggeringRRSets:
         assert supports_batched(model)
         graph = random_wc_graph(50, avg_degree=4, seed=1)
         collection = RRCollection(
-            graph, np.random.default_rng(0), triggering=model,
-            backend="batched",
+            graph, triggering=model,
+            ctx=_ctx("batched", np.random.default_rng(0)),
         )
         collection.generate(20)
         assert collection.num_sets == 20
@@ -771,8 +771,8 @@ class TestGenericTriggeringRRSets:
 class TestForwardAdopterWorlds:
     def test_batched_returns_bitmap(self, wc400):
         worlds = _forward_adopter_worlds(
-            wc400, GAP, 0, [0, 1, 2], 16, np.random.default_rng(1),
-            backend="batched",
+            wc400, GAP, 0, [0, 1, 2], 16,
+            _ctx("batched", np.random.default_rng(1)),
         )
         assert isinstance(worlds, np.ndarray)
         assert worlds.shape == (16, 400)
@@ -783,8 +783,8 @@ class TestForwardAdopterWorlds:
 
     def test_sequential_returns_sets(self, wc400):
         worlds = _forward_adopter_worlds(
-            wc400, GAP, 0, [0, 1, 2], 4, np.random.default_rng(1),
-            backend="sequential",
+            wc400, GAP, 0, [0, 1, 2], 4,
+            _ctx("sequential", np.random.default_rng(1)),
         )
         assert isinstance(worlds, list)
         assert len(worlds) == 4
@@ -792,12 +792,12 @@ class TestForwardAdopterWorlds:
 
     def test_backends_agree_on_mean_world_size(self, wc400):
         sequential = _forward_adopter_worlds(
-            wc400, GAP, 0, list(range(10)), 300, np.random.default_rng(2),
-            backend="sequential",
+            wc400, GAP, 0, list(range(10)), 300,
+            _ctx("sequential", np.random.default_rng(2)),
         )
         batched = _forward_adopter_worlds(
-            wc400, GAP, 0, list(range(10)), 300, np.random.default_rng(3),
-            backend="batched",
+            wc400, GAP, 0, list(range(10)), 300,
+            _ctx("batched", np.random.default_rng(3)),
         )
         seq_mean = np.mean([len(w) for w in sequential])
         bat_mean = batched.sum(axis=1).mean()
@@ -805,14 +805,14 @@ class TestForwardAdopterWorlds:
 
     def test_gap_sampler_rejects_bitmap_on_sequential(self, wc400):
         sampler = _GapSampler(
-            wc400, np.random.default_rng(0), 0.5, 0.84, "sequential"
+            wc400, 0.5, 0.84, ctx=_ctx("sequential", np.random.default_rng(0))
         )
         with pytest.raises(ValueError):
             sampler.set_worlds(np.zeros((2, 400), dtype=bool))
 
     def test_gap_sampler_accepts_empty_bitmap(self, wc400):
         sampler = _GapSampler(
-            wc400, np.random.default_rng(0), 0.5, 0.84, "batched"
+            wc400, 0.5, 0.84, ctx=_ctx("batched", np.random.default_rng(0))
         )
         sampler.set_worlds(np.zeros((0, 400), dtype=bool))
         members, lengths = sampler.sample(8)

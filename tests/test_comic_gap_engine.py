@@ -64,6 +64,13 @@ def _golden_graph():
     return random_wc_graph(120, avg_degree=5, seed=7)
 
 
+def _ctx(backend, seed):
+    """A lineage-less context on ``backend`` over ``default_rng(seed)``."""
+    return EngineContext.create(
+        backend=backend, rng=np.random.default_rng(seed)
+    )
+
+
 class TestRRSetWidths:
     def test_matches_per_set_reference(self):
         g = random_wc_graph(200, avg_degree=6, seed=1)
@@ -157,9 +164,7 @@ class TestBatchedGapSampler:
         count = 4000
         stats = {}
         for backend in ("sequential", "batched"):
-            sampler = _GapSampler(
-                g, np.random.default_rng(13), 0.55, 0.9, backend
-            )
+            sampler = _GapSampler(g, 0.55, 0.9, ctx=_ctx(backend, 13))
             sampler.set_worlds(worlds)
             members, lengths = sampler.sample(count)
             probe = np.arange(0, 600, 30)
@@ -189,7 +194,7 @@ class TestWorldCursor:
         # nonempty iff world (cursor + j) % 2 == 0.  A second sample() call
         # must continue the alternation, not restart at world 0.
         g = InfluenceGraph(1, [])
-        sampler = _GapSampler(g, np.random.default_rng(0), 0.0, 1.0, backend)
+        sampler = _GapSampler(g, 0.0, 1.0, ctx=_ctx(backend, 0))
         sampler.set_worlds([{0}, set()])
         _, first = sampler.sample(3)
         assert first.tolist() == [1, 0, 1]
@@ -203,7 +208,7 @@ class TestWorldCursor:
         # RR-CIM refreshes the world list between the KPT and θ phases; the
         # cursor must survive the refresh.
         g = InfluenceGraph(1, [])
-        sampler = _GapSampler(g, np.random.default_rng(0), 0.0, 1.0, backend)
+        sampler = _GapSampler(g, 0.0, 1.0, ctx=_ctx(backend, 0))
         sampler.set_worlds([{0}, set()])
         sampler.sample(3)
         sampler.set_worlds([{0}, set(), set()])  # now period 3, cursor 3
@@ -214,9 +219,7 @@ class TestWorldCursor:
         """_GapSampler's sequential path is the historical loop, bit for bit."""
         g = random_wc_graph(150, avg_degree=5, seed=4)
         worlds = [set(range(0, 150, 4)), set(range(1, 150, 7))]
-        sampler = _GapSampler(
-            g, np.random.default_rng(21), 0.6, 0.9, "sequential"
-        )
+        sampler = _GapSampler(g, 0.6, 0.9, ctx=_ctx("sequential", 21))
         sampler.set_worlds(worlds)
         members, lengths = sampler.sample(40)
         offsets = np.concatenate(([0], np.cumsum(lengths)))
@@ -312,12 +315,7 @@ class TestBatchedKPT:
         g = random_wc_graph(800, avg_degree=6, seed=31)
         estimates = {}
         for backend in ("sequential", "batched"):
-            sampler = _GapSampler(
-                g, q_plain=1.0, q_boosted=1.0,
-                ctx=EngineContext.create(
-                    backend=backend, rng=np.random.default_rng(3)
-                ),
-            )
+            sampler = _GapSampler(g, 1.0, 1.0, ctx=_ctx(backend, 3))
             estimates[backend] = _estimate_kpt(g, 10, 1.0, sampler)
         kpt_seq, used_seq = estimates["sequential"]
         kpt_bat, used_bat = estimates["batched"]

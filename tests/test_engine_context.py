@@ -7,18 +7,21 @@ Four contracts (DESIGN.md §5):
   backends and, for environment typos, the offending variable; integer
   seeds establish a ``SeedSequence`` lineage whose stream equals the
   historical ``default_rng(seed)``.
-* **Legacy-kwarg removal** — the one-release ``backend=``/``seed=``
-  deprecation shim is gone: passing either kwarg to any public entry
-  point raises ``TypeError`` naming ``ctx=`` as the supported spelling;
-  plain ``rng=`` remains first-class.
+* **Legacy-kwarg removal** — no public entry point takes a ``backend=``
+  (or, for the store builders, ``seed=``) keyword: passing one is
+  Python's own ``TypeError``.  Plain ``rng=`` remains first-class, and
+  ``ensure_context`` rejects two sources of one piece of state.
+* **Triggering threading** — ``RRCollection`` resolves triggering names
+  like every entry point, and the Com-IC baselines refuse a non-IC
+  context before any sampling.
 * **Integer-seed uniformity** — ``estimate_welfare``,
   ``estimate_adoption`` and ``estimate_welfare_personalized`` accept plain
   integer seeds (via ``SeedSequence`` children on the sequential engine),
   matching the earlier fix to ``estimate_comic_spread``.
 * **Cross-backend parity** — one parametrized sweep asserting
   sequential-vs-batched statistical equivalence through every public
-  entry point that takes a context (PRIMA, IMM, TIM, SSA, RR-SIM+,
-  RR-CIM, the welfare/adoption/Com-IC estimators), superseding the
+  entry point that takes a context (PRIMA, IMM, RR-SIM+, RR-CIM, the
+  welfare/adoption/Com-IC estimators), superseding the
   per-module copies that used to live in ``test_comic_gap_engine`` and
   ``test_batch_forward``.
 """
@@ -28,11 +31,13 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.baselines._comic_common import comic_rr_selection
 from repro.baselines.rr_cim import rr_cim
 from repro.baselines.rr_sim import rr_sim_plus
 from repro.diffusion.comic import ComICModel, estimate_comic_spread
 from repro.diffusion.personalized import estimate_welfare_personalized
 from repro.diffusion.welfare import estimate_adoption, estimate_welfare
+from repro.diffusion.triggering import LinearThresholdTriggering
 from repro.engine import (
     BACKEND_ENV,
     BACKENDS,
@@ -40,10 +45,15 @@ from repro.engine import (
     WorldCursor,
     resolve_backend,
 )
+from repro.experiments._two_item import run_two_item_experiment
+from repro.experiments.fig4_welfare import run_fig4
+from repro.experiments.fig5_runtime import run_fig5
+from repro.experiments.fig7_multi_item import run_fig7
 from repro.graph.generators import random_wc_graph, star_graph
 from repro.rrset.imm import imm
 from repro.rrset.prima import prima
 from repro.rrset.rrgen import RRCollection
+from repro.store import build_comic_store, build_sharded, build_store
 from repro.utility.model import UtilityModel
 from repro.utility.noise import GaussianNoise
 from repro.utility.price import AdditivePrice
@@ -60,7 +70,12 @@ def wc300():
 @pytest.fixture(scope="module")
 def spread_estimator(wc300):
     """One shared, independent RR collection scoring every selector."""
-    est = RRCollection(wc300, np.random.default_rng(999), backend="batched")
+    est = RRCollection(
+        wc300,
+        ctx=EngineContext.create(
+            backend="batched", rng=np.random.default_rng(999)
+        ),
+    )
     est.extend_to(4000)
     return est
 
@@ -165,33 +180,52 @@ class TestBackendErrors:
             EngineContext.create()
 
     def test_collection_rejects_bad_backend_at_construction(self):
-        g = star_graph(4, probability=0.5)
         with pytest.raises(ValueError, match="valid backends"):
-            RRCollection(g, np.random.default_rng(0), backend="bogus")
+            EngineContext.create(
+                backend="bogus", rng=np.random.default_rng(0)
+            )
+
+
+#: Entry points that once took a ``backend=`` keyword (the store builders
+#: also ``seed=``), with their count of required positional arguments.
+#: The calls fail while binding arguments, so placeholders never reach a
+#: body.
+REMOVED_KEYWORDS = [
+    (fn, nargs, keyword)
+    for fn, nargs, keywords in [
+        (prima, 2, ("backend",)),
+        (imm, 2, ("backend",)),
+        (estimate_welfare, 3, ("backend",)),
+        (estimate_adoption, 3, ("backend",)),
+        (estimate_comic_spread, 5, ("backend",)),
+        (estimate_welfare_personalized, 3, ("backend",)),
+        (comic_rr_selection, 7, ("backend",)),
+        (rr_sim_plus, 3, ("backend",)),
+        (rr_cim, 3, ("backend",)),
+        (run_fig4, 1, ("backend",)),
+        (run_fig5, 0, ("backend",)),
+        (run_fig7, 1, ("backend",)),
+        (run_two_item_experiment, 1, ("backend",)),
+        (build_store, 2, ("seed", "backend")),
+        (build_sharded, 2, ("seed", "backend")),
+        (build_comic_store, 3, ("seed", "backend")),
+    ]
+    for keyword in keywords
+]
 
 
 class TestLegacyKwargRemoval:
-    def test_backend_kwarg_raises_naming_ctx(self, wc300):
-        with pytest.raises(TypeError, match=r"ctx=") as err:
-            prima(
-                wc300, [4], rng=np.random.default_rng(3),
-                backend="sequential",
-            )
-        assert "backend= keyword" in str(err.value)
-        assert "prima" in str(err.value)
-
-    def test_estimator_backend_kwarg_raises(self, wc300, two_item_model):
-        alloc = [(0, 0), (1, 1)]
-        with pytest.raises(TypeError, match=r"ctx="):
-            estimate_welfare(
-                wc300, two_item_model, alloc, num_samples=5,
-                backend="batched",
-            )
-
-    def test_ctx_plus_legacy_backend_is_an_error(self, wc300):
-        ctx = EngineContext.create()
-        with pytest.raises(TypeError, match=r"ctx="):
-            prima(wc300, [2], backend="batched", ctx=ctx)
+    @pytest.mark.parametrize(
+        ("fn", "nargs", "keyword"),
+        REMOVED_KEYWORDS,
+        ids=[f"{fn.__name__}-{kw}" for fn, _, kw in REMOVED_KEYWORDS],
+    )
+    def test_removed_keyword_raises(self, fn, nargs, keyword):
+        value = 3 if keyword == "seed" else "batched"
+        with pytest.raises(
+            TypeError, match=f"unexpected keyword argument '{keyword}'"
+        ):
+            fn(*[None] * nargs, **{keyword: value})
 
     def test_ctx_plus_rng_is_an_error(self, wc300):
         ctx = EngineContext.create()
@@ -203,17 +237,46 @@ class TestLegacyKwargRemoval:
         with pytest.raises(TypeError, match="triggering"):
             prima(wc300, [2], triggering="lt", ctx=ctx)
 
-    def test_builder_seed_kwarg_raises(self, wc300):
-        from repro.store import build_store
-
-        with pytest.raises(TypeError, match=r"ctx=") as err:
-            build_store(wc300, 2, seed=3, estimation_rr_sets=50)
-        assert "seed= keyword" in str(err.value)
-
     def test_plain_rng_stays_first_class(self, wc300):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             imm(wc300, 2, rng=np.random.default_rng(0))
+
+
+class TestTriggeringThreading:
+    def test_collection_resolves_triggering_name(self, wc300):
+        by_name = RRCollection(
+            wc300, np.random.default_rng(4), triggering="lt"
+        )
+        by_model = RRCollection(
+            wc300, np.random.default_rng(4),
+            triggering=LinearThresholdTriggering(),
+        )
+        by_name.generate(300)
+        by_model.generate(300)
+        for got, expected in zip(
+            by_name.flat_arrays(), by_model.flat_arrays()
+        ):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize(
+        "name", ["comic_rr_selection", "rr_sim_plus", "rr_cim"]
+    )
+    def test_comic_baselines_reject_non_ic_context(self, wc300, name):
+        # Com-IC's forward worlds and GAP sets are IC's; an LT context
+        # must fail before anything draws from its stream.
+        ctx = EngineContext.create(seed=1, triggering="lt")
+        before = ctx.rng.bit_generator.state
+        runners = {
+            "comic_rr_selection": lambda: comic_rr_selection(
+                wc300, GAP, 0, (0, 1), 2, 0.5, 1.0, ctx=ctx
+            ),
+            "rr_sim_plus": lambda: rr_sim_plus(wc300, GAP, (2, 2), ctx=ctx),
+            "rr_cim": lambda: rr_cim(wc300, GAP, (2, 2), ctx=ctx),
+        }
+        with pytest.raises(ValueError, match=f"{name} simulates IC"):
+            runners[name]()
+        assert ctx.rng.bit_generator.state == before
 
 
 class TestIntegerSeedUniformity:

@@ -52,11 +52,20 @@ class TestRL002CtxThreading:
         findings = sorted(lint_file(BAD / "src/repro/rrset/rl002_bad.py", BAD))
         assert {d.rule_id for d in findings} == {"RL002"}
         messages = " | ".join(d.message for d in findings)
-        assert "backend= kwarg" in messages
         assert "sequential" in messages
         assert "resolve_backend" in messages
         assert "environ" in messages
-        assert "never" in messages  # the silently-ignored kwarg
+        # Every backend=/seed= parameter is a finding, whether it works,
+        # is ignored, or only feeds the engine (tombstone, constructor).
+        params = [d.message for d in findings if "parameter" in d.message]
+        assert sorted(m.split("()")[0] for m in params) == [
+            "legacy_constructor",
+            "silently_ignored",
+            "spread",
+            "spread",
+            "spread_with_knob",
+            "spread_with_knob",
+        ]
 
     def test_good_fixture_clean(self):
         assert ids_for(GOOD, "src/repro/rrset/rl002_good.py") == []

@@ -52,12 +52,21 @@ GOLDEN_WC150_SEEDS = (147, 99, 127, 136, 143, 62, 114, 63)
 GOLDEN_WC150_NUM_RR_SETS = 2454
 
 
+def _ctx(backend, seed):
+    """A lineage-less context on ``backend`` over ``default_rng(seed)``."""
+    return EngineContext.create(
+        backend=backend, rng=np.random.default_rng(seed)
+    )
+
+
 class TestSequentialExactEquivalence:
     def test_collection_matches_legacy_per_set_sampler(self):
         g = random_wc_graph(200, avg_degree=6, seed=21)
         rng_coll = np.random.default_rng(5)
         rng_legacy = np.random.default_rng(5)
-        coll = RRCollection(g, rng_coll, backend="sequential")
+        coll = RRCollection(
+            g, ctx=EngineContext.create(backend="sequential", rng=rng_coll)
+        )
         coll.generate(60)
         for i in range(60):
             legacy = generate_rr_set(g, rng_legacy)
@@ -135,9 +144,9 @@ class TestBatchedSampler:
             1000, nearest_neighbors=6, rewire_probability=0.1, seed=13
         )
         count = 4000
-        seq = RRCollection(g, np.random.default_rng(3), backend="sequential")
+        seq = RRCollection(g, ctx=_ctx("sequential", 3))
         seq.generate(count)
-        bat = RRCollection(g, np.random.default_rng(3), backend="batched")
+        bat = RRCollection(g, ctx=_ctx("batched", 3))
         bat.generate(count)
         # Same expected width and, for a common probe seed set, the same
         # expected coverage fraction.
@@ -153,13 +162,9 @@ class TestBatchedSampler:
         )
         lt = LinearThresholdTriggering()
         count = 4000
-        seq = RRCollection(
-            g, np.random.default_rng(5), triggering=lt, backend="sequential"
-        )
+        seq = RRCollection(g, triggering=lt, ctx=_ctx("sequential", 5))
         seq.generate(count)
-        bat = RRCollection(
-            g, np.random.default_rng(5), triggering=lt, backend="batched"
-        )
+        bat = RRCollection(g, triggering=lt, ctx=_ctx("batched", 5))
         bat.generate(count)
         assert bat.total_width == pytest.approx(seq.total_width, rel=0.06)
         probe = list(range(0, 600, 30))
@@ -185,8 +190,7 @@ class TestBatchedSampler:
         assert not supports_batched(EmptyTrigger())
         g = random_wc_graph(50, avg_degree=4, seed=1)
         coll = RRCollection(
-            g, np.random.default_rng(0), triggering=EmptyTrigger(),
-            backend="batched",
+            g, triggering=EmptyTrigger(), ctx=_ctx("batched", 0)
         )
         coll.generate(20)  # silently routed through the sequential sampler
         assert coll.num_sets == 20
@@ -214,9 +218,7 @@ class TestBackendResolution:
         with pytest.raises(ValueError):
             resolve_backend("vectorized")
         with pytest.raises(ValueError):
-            RRCollection(
-                line_graph(3, 1.0), np.random.default_rng(0), backend="bogus"
-            )
+            EngineContext.create(backend="bogus")
 
 
 class TestFlatStorage:
@@ -243,7 +245,7 @@ class TestFlatStorage:
 
     def test_growth_across_many_batches(self):
         g = random_wc_graph(120, avg_degree=5, seed=3)
-        coll = RRCollection(g, np.random.default_rng(1), backend="batched")
+        coll = RRCollection(g, ctx=_ctx("batched", 1))
         for _ in range(12):
             coll.generate(100)  # forces several capacity doublings
         assert coll.num_sets == 1200
@@ -269,7 +271,7 @@ class TestFlatStorage:
 
     def test_reset_then_regrow(self):
         g = random_wc_graph(80, avg_degree=4, seed=6)
-        coll = RRCollection(g, np.random.default_rng(2), backend="batched")
+        coll = RRCollection(g, ctx=_ctx("batched", 2))
         coll.generate(50)
         first = coll.coverage_fraction(range(10))
         coll.reset()
@@ -316,7 +318,7 @@ def node_selection_reference(collection, k):
 class TestVectorizedNodeSelection:
     def _random_collection(self, seed, n=150, count=400):
         g = random_wc_graph(n, avg_degree=6, seed=seed)
-        coll = RRCollection(g, np.random.default_rng(seed), backend="batched")
+        coll = RRCollection(g, ctx=_ctx("batched", seed))
         coll.generate(count)
         return coll
 

@@ -22,6 +22,7 @@ from repro.diffusion.triggering import (
     sample_trigger_members,
     segmented_positions,
 )
+from repro.engine import EngineContext
 from repro.graph.generators import (
     erdos_renyi,
     line_graph,
@@ -235,8 +236,9 @@ class TestCollectionRangeChecks:
     def collection(self):
         coll = RRCollection(
             random_wc_graph(50, avg_degree=4, seed=8),
-            np.random.default_rng(8),
-            backend="batched",
+            ctx=EngineContext.create(
+                backend="batched", rng=np.random.default_rng(8)
+            ),
         )
         coll.generate(200)
         return coll
